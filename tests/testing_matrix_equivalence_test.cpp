@@ -15,12 +15,16 @@
 
 #include "compiler/Passes.h"
 #include "persist/Checkpoint.h"
+#include "persist/LineText.h"
 #include "testing/Corpus.h"
 #include "testing/Harness.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace spe;
 
@@ -304,4 +308,86 @@ TEST(MatrixEquivalenceTest, RosterAndSweepSkewRejectTheResume) {
     EXPECT_FALSE(
         DifferentialHarness(Skew).resumeCampaign(Seeds, Ignored, Err));
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Cross-commit golden pins
+//===----------------------------------------------------------------------===//
+//
+// Every battery above compares two execution strategies inside one binary,
+// so a change that moved classic and matrix campaigns the *same* way would
+// pass them all. These pins anchor behavior across commits instead: the
+// FNV-1a of the final Complete checkpoint file (every counter, both
+// finding maps, and the coverage hit set) plus the sorted triaged cluster
+// signatures, committed as literals for four campaign shapes.
+
+namespace {
+
+struct GoldenPin {
+  uint64_t CheckpointFnv = 0;
+  std::vector<std::string> Clusters;
+};
+
+GoldenPin goldenPinOf(const HarnessOptions &Base, const std::string &Name) {
+  TempDir T("golden_" + Name);
+  CoverageRegistry Cov;
+  registerPassCoverageCatalog(Cov);
+  HarnessOptions Opts = Base;
+  Opts.Cov = &Cov;
+  Opts.Triage = true;
+  Opts.CheckpointPath = T.path("campaign.ck");
+  CampaignResult R = DifferentialHarness(Opts).runCampaign(matrixSeeds());
+
+  GoldenPin Pin;
+  std::ifstream In(Opts.CheckpointPath, std::ios::binary);
+  std::ostringstream Bytes;
+  Bytes << In.rdbuf();
+  std::string Text = Bytes.str();
+  EXPECT_NE(Text.find("\ncomplete 1\n"), std::string::npos) << Name;
+  linetext::Fnv Sum;
+  Sum.bytes(Text.data(), Text.size());
+  Pin.CheckpointFnv = Sum.H;
+  for (const TriagedBug &Bug : R.Triaged)
+    Pin.Clusters.push_back(Bug.Sig.str());
+  std::sort(Pin.Clusters.begin(), Pin.Clusters.end());
+  return Pin;
+}
+
+void expectGolden(const HarnessOptions &Opts, const std::string &Name,
+                  uint64_t WantFnv, const std::vector<std::string> &Want) {
+  GoldenPin Got = goldenPinOf(Opts, Name);
+  std::string Listing;
+  for (const std::string &S : Got.Clusters)
+    Listing += "\n  \"" + S + "\",";
+  EXPECT_EQ(Got.CheckpointFnv, WantFnv)
+      << Name << ": checkpoint bytes moved (clusters:" << Listing << ")";
+  EXPECT_EQ(Got.Clusters, Want) << Name << ": clusters moved:" << Listing;
+}
+
+} // namespace
+
+TEST(MatrixEquivalenceTest, GoldenClassicUnbatched) {
+  expectGolden(classicOptions(1, 1), "classic_k1", 9455676185978897303ull,
+               {"gcc-sim/wrong-code/miscompilation (exit)"});
+}
+
+TEST(MatrixEquivalenceTest, GoldenClassicBatched) {
+  // Batching is result-neutral, so this is classic_k1's pin exactly.
+  expectGolden(classicOptions(1, 8), "classic_k8", 9455676185978897303ull,
+               {"gcc-sim/wrong-code/miscompilation (exit)"});
+}
+
+TEST(MatrixEquivalenceTest, GoldenSingleBackendTwoInputSweep) {
+  HarnessOptions Opts = classicOptions(1, 1);
+  for (CompilerConfig &Config : Opts.Configs)
+    Config.ExecSweep = {"1\n", "-3\n"};
+  expectGolden(Opts, "sweep_m2", 11895131745423904391ull,
+               {"gcc-sim/wrong-code/miscompilation (exit)"});
+}
+
+TEST(MatrixEquivalenceTest, GoldenThreeBackendMatrix) {
+  CloneBackend B("minicc-cloneB", true), C("minicc-cloneC", true);
+  // Three agreeing clones outvote the oracle on the injected miscompile.
+  expectGolden(matrixOptions(1, 1, B, C), "matrix_n3", 5054206416074854235ull,
+               {"gcc-sim/wrong-code/miscompilation (exit)@reference-oracle"});
 }
