@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/PipedProcess.h"
 #include "support/ProcessPool.h"
 #include "support/ProcessRunner.h"
 
@@ -20,6 +21,7 @@
 
 #include <signal.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 
 using namespace spe;
 
@@ -219,4 +221,39 @@ TEST(ProcessPoolTest, WedgedBrokerPidIsActuallyDead) {
   // the slot and a fresh broker took over.
   ProcessResult R = Pool.run({"/bin/sh", "-c", "exit 6"});
   EXPECT_TRUE(R.exitedWith(6)) << R.Error;
+}
+
+TEST(PipedProcessTest, SiblingDoesNotHoldAnotherChildsStdinOpen) {
+  // Two long-lived children started from one parent: the second must not
+  // inherit the write end of the first's stdin, or closing it never
+  // delivers EOF and the first child reads forever (a fleet coordinator
+  // blocked on a worker that never exits).
+  PipedProcess First, Second;
+  std::string Err;
+  ASSERT_TRUE(First.start({"cat"}, Err)) << Err;
+  ASSERT_TRUE(Second.start({"cat"}, Err)) << Err;
+  First.closeStdin();
+
+  auto T0 = std::chrono::steady_clock::now();
+  bool Exited = false;
+  int Status = 0;
+  while (secondsSince(T0) < 5.0) {
+    pid_t Got = waitpid(First.pid(), &Status, WNOHANG);
+    if (Got == First.pid()) {
+      Exited = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(Exited) << "first cat never saw EOF on its stdin";
+  if (Exited) {
+    EXPECT_TRUE(WIFEXITED(Status));
+    EXPECT_EQ(WEXITSTATUS(Status), 0);
+    First.wait(); // Already reaped above; marks the handle done.
+  }
+  // The sibling is untouched: still running, still waiting on its stdin.
+  EXPECT_EQ(waitpid(Second.pid(), &Status, WNOHANG), 0);
+  if (!Exited)
+    First.kill(SIGKILL);
+  Second.kill(SIGKILL);
 }
