@@ -15,6 +15,7 @@
 #include "triage/Deduper.h"
 #include "triage/MatrixVote.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <mutex>
@@ -201,27 +202,6 @@ StatusCounters countersOf(const CampaignResult &R) {
   return C;
 }
 
-/// Precomputed span labels (telemetry on only): one backend label per
-/// roster slot, one config label per Opts.Configs entry -- so the hot loop
-/// never rebuilds identity strings.
-struct TelemetryLabels {
-  std::vector<std::string> Backends;
-  std::vector<std::string> Configs;
-};
-
-TelemetryLabels
-makeTelemetryLabels(const HarnessOptions &Opts,
-                    const std::vector<const CompilerBackend *> &Roster) {
-  TelemetryLabels L;
-  L.Backends.reserve(Roster.size());
-  for (const CompilerBackend *B : Roster)
-    L.Backends.push_back(telemetryBackendLabel(B->identity()));
-  L.Configs.reserve(Opts.Configs.size());
-  for (const CompilerConfig &C : Opts.Configs)
-    L.Configs.push_back(telemetryConfigLabel(C.OptLevel, C.Mode64));
-  return L;
-}
-
 /// This worker's live shard progress for the status feed. saveState() is
 /// not free (BigInt decimal round-trips), but this only runs when a status
 /// write is already due -- wall-clock cadence, not per variant.
@@ -345,349 +325,50 @@ OracleOutcome oraclePhase(const HarnessOptions &Opts,
   return O;
 }
 
-/// Classifies one backend observation against \p Verdict and records any
-/// findings into \p Result -- the per-configuration body the unbatched
-/// loop and the batched pipeline share, so what counts as a finding cannot
-/// drift between them.
-void recordObservation(const CompilerConfig &Config,
-                       const BackendObservation &Obs, bool GroundTruth,
-                       const std::string &Source,
-                       const OracleCache::Entry &Verdict,
-                       CampaignResult &Result) {
-  // Records one finding. Ground-truth findings (Id != 0) key UniqueBugs
-  // and RawFindings by id; signature-only findings (Id == 0, backends
-  // without ground truth) key RawFindings by normalized signature and
-  // never touch UniqueBugs -- distinct clusters at one shared id slot
-  // would otherwise collapse arbitrarily.
-  auto Record = [&](BugEffect Effect, int Id, const std::string &Sig) {
-    FoundBug Bug;
-    Bug.BugId = Id;
-    Bug.P = Config.P;
-    Bug.Effect = Effect;
-    Bug.Signature = Sig;
-    Bug.Version = Config.Version;
-    Bug.OptLevel = Config.OptLevel;
-    Bug.Mode64 = Config.Mode64;
-    Bug.WitnessProgram = Source;
-    FindingKey Key;
-    Key.BugId = Id;
-    Key.P = Config.P;
-    Key.Version = Config.Version;
-    Key.OptLevel = Config.OptLevel;
-    Key.Mode64 = Config.Mode64;
-    if (Id == 0)
-      Key.Sig = normalizeSignature(Effect, Sig);
-    Result.RawFindings.emplace(std::move(Key), Bug);
-    if (Id != 0)
-      Result.UniqueBugs.emplace(Id, std::move(Bug));
-  };
-
-  if (Obs.Compile == BackendObservation::CompileStatus::Rejected)
-    return;
-  if (Obs.Compile == BackendObservation::CompileStatus::Crashed) {
-    ++Result.CrashObservations;
-    Record(BugEffect::Crash, Obs.CrashBugId, Obs.CrashSignature);
-    return;
-  }
-  // Performance anomaly: MiniCC's inflated cost model, or an external
-  // compile that blew its wall-clock budget.
-  if (Obs.CompileTimeAnomaly) {
-    ++Result.PerformanceObservations;
-    if (GroundTruth) {
-      for (int Id : Obs.FiredBugs) {
-        const InjectedBug *Truth = findBug(Id);
-        if (!Truth || Truth->Effect != BugEffect::Performance)
-          continue;
-        Record(BugEffect::Performance, Id, "pathological compile time");
-      }
-    } else {
-      Record(BugEffect::Performance, 0, "pathological compile time");
-    }
-  }
-  if (Obs.Compile == BackendObservation::CompileStatus::TimedOut)
-    return; // Nothing runnable was produced.
-
-  // The divergence *kind* is the stable part of a wrong-code signature
-  // (triage/BugSignature.h normalizes away the concrete values).
-  std::string WrongCodeSig =
-      classifyDivergence(Obs, Verdict.ExitCode, Verdict.Output);
-  if (WrongCodeSig.empty())
-    return;
-  if (Obs.Exec == BackendObservation::ExecStatus::Timeout)
-    ++Result.ExecutionTimeouts;
-  ++Result.WrongCodeObservations;
-  if (GroundTruth) {
-    // Attribute the divergence to the fired wrong-code bug (ground
-    // truth); checked lookup, so foreign ids cannot read out of bounds.
-    for (int Id : Obs.FiredBugs) {
-      const InjectedBug *Truth = findBug(Id);
-      if (!Truth || Truth->Effect != BugEffect::WrongCode)
-        continue;
-      Record(BugEffect::WrongCode, Id, WrongCodeSig);
-    }
-  } else {
-    Record(BugEffect::WrongCode, 0, WrongCodeSig);
-  }
-}
-
-//===--- N-way differential matrix recording (DESIGN.md Section 14) ----===//
-
-/// Records one attributed matrix finding. Same key/witness discipline as
-/// recordObservation's Record, extended with the attributed backend's
-/// roster slot and the sweep input the divergence manifested under.
-void recordMatrixFinding(const CompilerConfig &Config, BugEffect Effect,
-                         int Id, const std::string &Sig,
-                         const std::string &BackendId, unsigned BackendIdx,
-                         const std::string &Input, unsigned InputIdx,
-                         const std::string &Source, CampaignResult &Result) {
-  FoundBug Bug;
-  Bug.BugId = Id;
-  Bug.P = Config.P;
-  Bug.Effect = Effect;
-  Bug.Signature = Sig;
-  Bug.Version = Config.Version;
-  Bug.OptLevel = Config.OptLevel;
-  Bug.Mode64 = Config.Mode64;
-  Bug.Backend = BackendId;
-  Bug.Input = Input;
-  Bug.WitnessProgram = Source;
-  FindingKey Key;
-  Key.BugId = Id;
-  Key.P = Config.P;
-  Key.Version = Config.Version;
-  Key.OptLevel = Config.OptLevel;
-  Key.Mode64 = Config.Mode64;
-  Key.BackendIdx = BackendIdx;
-  Key.InputIdx = InputIdx;
-  if (Id == 0)
-    Key.Sig = normalizeSignature(Effect, Sig);
-  Result.RawFindings.emplace(std::move(Key), Bug);
-  if (Id != 0)
-    Result.UniqueBugs.emplace(Id, std::move(Bug));
-}
-
-/// Matrix recording of one tested variant: compile-level findings per
-/// (backend, config) row, then one vote per (config, input) cell across
-/// the roster (triage/MatrixVote.h), with each outlier's finding
-/// attributed to the backend that diverged -- or to "reference-oracle"
-/// when a strict backend majority outvoted it. \p Obs is
-/// [backend][config][input] with the input axis of row (backend, config)
-/// being configInputs(Configs[config]); \p Sweep holds the per-union-input
-/// oracle verdicts (empty when the union is the single primary input).
-/// Deterministic recording order -- configs outer, compile rows then
-/// inputs, backends innermost -- so first-wins witness maps are identical
-/// for every thread count and batch size.
-void recordMatrixVariant(
-    const HarnessOptions &Opts,
-    const std::vector<const CompilerBackend *> &Roster,
-    const std::vector<std::string> &AllInputs,
-    const std::vector<std::vector<std::vector<BackendObservation>>> &Obs,
-    const std::string &Source, const OracleCache::Entry &Verdict,
-    const std::vector<OracleCache::Entry> &Sweep, CampaignResult &Result) {
-  // The backend identity stamped on findings: with a single-backend roster
-  // (sweeps only) it stays empty -- the sole backend is implied, keeping
-  // signatures identical to a classic campaign's.
-  auto BackendName = [&](size_t B) {
-    return Roster.size() >= 2 ? Roster[B]->identity() : std::string();
-  };
-  auto UnionVerdict = [&](size_t U) -> const OracleCache::Entry & {
-    return Sweep.empty() ? Verdict : Sweep[U];
-  };
-
-  for (size_t C = 0; C < Opts.Configs.size(); ++C) {
-    const CompilerConfig &Config = Opts.Configs[C];
-    std::vector<std::string> Ins = configInputs(Config);
-
-    // Compile-level findings: one per (backend, config) row, read off the
-    // row's first cell (all cells share one compile's status fields).
-    for (size_t B = 0; B < Roster.size(); ++B) {
-      if (C >= Obs[B].size() || Obs[B][C].empty())
-        continue;
-      const BackendObservation &Row = Obs[B][C][0];
-      const bool GroundTruth = Roster[B]->hasGroundTruth();
-      if (Row.Compile == BackendObservation::CompileStatus::Crashed) {
-        ++Result.CrashObservations;
-        recordMatrixFinding(Config, BugEffect::Crash, Row.CrashBugId,
-                            Row.CrashSignature, BackendName(B),
-                            static_cast<unsigned>(B), std::string(), 0,
-                            Source, Result);
-      }
-      if (Row.CompileTimeAnomaly) {
-        ++Result.PerformanceObservations;
-        if (GroundTruth) {
-          for (int Id : Row.FiredBugs) {
-            const InjectedBug *Truth = findBug(Id);
-            if (!Truth || Truth->Effect != BugEffect::Performance)
-              continue;
-            recordMatrixFinding(Config, BugEffect::Performance, Id,
-                                "pathological compile time", BackendName(B),
-                                static_cast<unsigned>(B), std::string(), 0,
-                                Source, Result);
-          }
-        } else {
-          recordMatrixFinding(Config, BugEffect::Performance, 0,
-                              "pathological compile time", BackendName(B),
-                              static_cast<unsigned>(B), std::string(), 0,
-                              Source, Result);
-        }
-      }
-    }
-
-    // Behavioral cells: one vote per (config, input) across the roster.
-    for (size_t I = 0; I < Ins.size(); ++I) {
-      // This input's oracle verdict, by its position in the sweep union.
-      size_t U = 0;
-      while (U < AllInputs.size() && AllInputs[U] != Ins[I])
-        ++U;
-      if (U >= AllInputs.size())
-        continue; // Unreachable: configInputs is a subset of the union.
-      const OracleCache::Entry &V = UnionVerdict(U);
-      if (!V.FrontendOk || V.Status != ExecStatus::Ok)
-        continue; // Cell excluded (counted once in oraclePhase).
-
-      std::vector<const BackendObservation *> Cells(Roster.size(), nullptr);
-      for (size_t B = 0; B < Roster.size(); ++B) {
-        if (C >= Obs[B].size() || I >= Obs[B][C].size())
-          continue;
-        const BackendObservation &Cell = Obs[B][C][I];
-        Cells[B] = &Cell;
-        if (Cell.Compile == BackendObservation::CompileStatus::Ok &&
-            Cell.Exec != BackendObservation::ExecStatus::NotRun)
-          ++Result.MatrixCellsCompared;
-      }
-
-      MatrixVote Vote = voteMatrixCell(V.ExitCode, V.Output, Cells);
-      for (size_t B = 0; B < Roster.size(); ++B) {
-        if (Vote.Outliers[B].empty())
-          continue;
-        if (Cells[B]->Exec == BackendObservation::ExecStatus::Timeout)
-          ++Result.ExecutionTimeouts;
-        ++Result.WrongCodeObservations;
-        if (Roster[B]->hasGroundTruth()) {
-          for (int Id : Cells[B]->FiredBugs) {
-            const InjectedBug *Truth = findBug(Id);
-            if (!Truth || Truth->Effect != BugEffect::WrongCode)
-              continue;
-            recordMatrixFinding(Config, BugEffect::WrongCode, Id,
-                                Vote.Outliers[B], BackendName(B),
-                                static_cast<unsigned>(B), Ins[I],
-                                static_cast<unsigned>(I), Source, Result);
-          }
-        } else {
-          recordMatrixFinding(Config, BugEffect::WrongCode, 0,
-                              Vote.Outliers[B], BackendName(B),
-                              static_cast<unsigned>(B), Ins[I],
-                              static_cast<unsigned>(I), Source, Result);
-        }
-      }
-      if (Vote.OracleOutvoted) {
-        // The roster agreed against the reference semantics: either an
-        // interpreter bug or UB the exclusion pass missed. Signature-only
-        // by definition -- no ground-truth id space covers the oracle.
-        ++Result.WrongCodeObservations;
-        recordMatrixFinding(Config, BugEffect::WrongCode, 0,
-                            Vote.OracleSignature, "reference-oracle",
-                            static_cast<unsigned>(Roster.size()), Ins[I],
-                            static_cast<unsigned>(I), Source, Result);
-      }
-    }
-  }
-}
-
-/// The unbatched matrix body: every roster backend compiles the variant
-/// under every config and executes once per sweep input, then the cells
-/// are voted. Shared by the BatchSize <= 1 pipeline path and
-/// testProgramWith so the two cannot drift.
-void runMatrixInline(const HarnessOptions &Opts,
-                     const std::vector<const CompilerBackend *> &Roster,
-                     const std::vector<std::string> &AllInputs,
-                     const std::string &Source, const OracleOutcome &O,
-                     CoverageRegistry *Cov, const TelemetryLabels *TL,
-                     CampaignResult &Result) {
-  TelemetrySink *Sink = Opts.Telemetry;
-  TelemetrySummary *Local = Sink ? &Result.Telemetry : nullptr;
-  std::vector<std::vector<std::vector<BackendObservation>>> Obs(
-      Roster.size());
-  for (size_t B = 0; B < Roster.size(); ++B) {
-    Obs[B].reserve(Opts.Configs.size());
-    for (size_t C = 0; C < Opts.Configs.size(); ++C) {
-      const CompilerConfig &Config = Opts.Configs[C];
-      SpanTimer T(Sink, Local, "backend_run",
-                  TL ? TL->Backends[B] : std::string(),
-                  TL ? TL->Configs[C] : std::string());
-      Obs[B].push_back(
-          Roster[B]->runSweep(Source, Config, configInputs(Config), Cov));
-    }
-  }
-  SpanTimer T(Sink, Local, "vote");
-  recordMatrixVariant(Opts, Roster, AllInputs, Obs, Source, O.Verdict,
-                      O.Sweep, Result);
-}
-
-/// The per-worker render/compile/execute pipeline (DESIGN.md Section 13).
-/// Variants accumulate into a batch of Opts.BatchSize; a full batch is
-/// handed to the backend (beginBatch -- which starts pool compiles and
-/// returns) *before* the previous batch is collected and recorded, so the
-/// compiler works on batch N+1 while this thread records batch N and then
-/// interprets oracles for batch N+2. At BatchSize <= 1 add() degenerates
-/// to the classic inline loop, bit for bit.
+/// The per-worker render/compile/execute pipeline (DESIGN.md Section 13),
+/// and the one path every tested variant takes. Variants accumulate into a
+/// batch of Opts.BatchSize (at least one); a full batch is handed to every
+/// roster backend (beginBatch -- which may start pool compiles and return)
+/// *before* the previous batch is collected and recorded, so the compilers
+/// work on batch N+1 while this thread records batch N and then interprets
+/// oracles for batch N+2. A classic campaign is the degenerate 1-backend x
+/// 1-input matrix and an unbatched one a stream of batches of one: the
+/// same code, with a single backend's vote reducing exactly to its
+/// comparison against the oracle.
 ///
 /// Determinism: recording happens batch-by-batch in rank order,
-/// variant-major within a batch -- the exact order the unbatched loop
-/// records in -- and drain() is called before every checkpoint publish,
-/// so published cursor state, partial results, and staged verdicts always
-/// describe exactly the same prefix as an unbatched run's publish.
-/// Destroying an undrained pipeline (simulated crash) records nothing and
-/// lets the ticket destructor reclaim backend resources -- precisely the
-/// work a real SIGKILL would strand.
+/// variant-major within a batch, and drain() is called before every
+/// checkpoint publish, so published cursor state, partial results, and
+/// staged verdicts always describe exactly the same prefix for every batch
+/// size. Destroying an undrained pipeline (simulated crash) records nothing
+/// and lets the ticket destructor reclaim backend resources -- precisely
+/// the work a real SIGKILL would strand.
 class VariantPipeline {
 public:
   VariantPipeline(const HarnessOptions &Opts, const CompilerBackend &B,
                   CampaignResult &Result, CoverageRegistry *Cov)
-      : Opts(Opts), GroundTruth(B.hasGroundTruth()), Result(Result),
-        Cov(Cov) {
+      : Opts(Opts), Result(Result), Cov(Cov) {
     Roster.push_back(&B);
     for (const CompilerBackend *E : Opts.ExtraBackends)
       Roster.push_back(E);
     AllInputs = sweepUnion(Opts.Configs);
-    // Matrix mode is on exactly when there is something the classic path
-    // cannot express: a second backend, or a real sweep. Off, every code
-    // path below is the historical one by code identity, so classic
-    // campaigns stay byte-for-byte (the equivalence battery's anchor).
+    // MatrixCellsCompared stays 0 in a classic campaign (one backend, no
+    // real sweep), as it always has; it is the only thing this gates.
     Matrix = Roster.size() > 1 || AllInputs.size() > 1 ||
              !AllInputs.front().empty();
     Sink = Opts.Telemetry;
     Local = Sink ? &Result.Telemetry : nullptr;
     if (Sink)
-      Labels = makeTelemetryLabels(Opts, Roster);
+      for (const CompilerBackend *R : Roster)
+        Labels.push_back(telemetryBackendLabel(R->identity()));
   }
 
   void add(const std::string &Source, StagedVec *Staged) {
     OracleOutcome O = oraclePhase(Opts, Source, AllInputs, Result, Staged);
     if (!O.Test)
       return;
-    if (Opts.BatchSize <= 1) {
-      if (!Matrix) {
-        for (size_t C = 0; C < Opts.Configs.size(); ++C) {
-          const CompilerConfig &Config = Opts.Configs[C];
-          BackendObservation Obs;
-          {
-            SpanTimer T(Sink, Local, "backend_run",
-                        Sink ? Labels.Backends[0] : std::string(),
-                        Sink ? Labels.Configs[C] : std::string());
-            Obs = Roster[0]->run(Source, Config, Cov);
-          }
-          recordObservation(Config, Obs, GroundTruth, Source, O.Verdict,
-                            Result);
-        }
-        return;
-      }
-      runMatrixInline(Opts, Roster, AllInputs, Source, O, Cov,
-                      Sink ? &Labels : nullptr, Result);
-      return;
-    }
     Cur.push_back({Source, std::move(O.Verdict), std::move(O.Sweep)});
-    if (Cur.size() >= Opts.BatchSize)
+    if (Cur.size() >= std::max<uint64_t>(Opts.BatchSize, 1))
       rotate();
   }
 
@@ -705,6 +386,10 @@ private:
     OracleCache::Entry Verdict;
     std::vector<OracleCache::Entry> Sweep;
   };
+  /// A 3-D observation grid: finishBatch's [variant][config][input], or
+  /// one variant's [backend][config][input]; the input axis of a row is
+  /// always configInputs of the row's config.
+  using Grid = std::vector<std::vector<std::vector<BackendObservation>>>;
 
   void rotate() {
     std::vector<std::string> Sources;
@@ -748,39 +433,170 @@ private:
     if (Tickets.empty())
       return;
     // Obs3[backend][variant][config][input].
-    std::vector<std::vector<std::vector<std::vector<BackendObservation>>>>
-        Obs3;
+    std::vector<Grid> Obs3;
     Obs3.reserve(Tickets.size());
     for (size_t B = 0; B < Tickets.size(); ++B) {
       SpanTimer T(Sink, Local, "batch_wait",
-                  Sink ? Labels.Backends[B] : std::string());
+                  Sink ? Labels[B] : std::string());
       Obs3.push_back(Roster[B]->finishBatch(std::move(Tickets[B])));
     }
     Tickets.clear();
     for (size_t I = 0; I < InFlight.size(); ++I) {
-      if (!Matrix) {
-        // Classic campaign: slot 0, primary input -- the historical 2-D
-        // recording loop over the 3-D shape's only input cell.
-        for (size_t C = 0; C < Opts.Configs.size(); ++C)
-          if (I < Obs3[0].size() && C < Obs3[0][I].size() &&
-              !Obs3[0][I][C].empty())
-            recordObservation(Opts.Configs[C], Obs3[0][I][C][0], GroundTruth,
-                              InFlight[I].Source, InFlight[I].Verdict,
-                              Result);
-        continue;
-      }
       // Slice this variant's cells out of every backend's batch result.
-      std::vector<std::vector<std::vector<BackendObservation>>> VarObs(
-          Roster.size());
+      Grid Obs(Roster.size());
       for (size_t B = 0; B < Roster.size(); ++B)
         if (I < Obs3[B].size())
-          VarObs[B] = std::move(Obs3[B][I]);
+          Obs[B] = std::move(Obs3[B][I]);
       SpanTimer T(Sink, Local, "vote");
-      recordMatrixVariant(Opts, Roster, AllInputs, VarObs,
-                          InFlight[I].Source, InFlight[I].Verdict,
-                          InFlight[I].Sweep, Result);
+      record(InFlight[I], Obs);
     }
     InFlight.clear();
+  }
+
+  /// Records one tested variant: compile-level findings per (backend,
+  /// config) row, then one vote per (config, input) cell across the roster
+  /// (triage/MatrixVote.h), each outlier's finding attributed to the
+  /// backend that diverged -- or to the reference oracle when a strict
+  /// backend majority outvoted it, which a single backend never can: its
+  /// outlier signature is exactly classifyDivergence against the oracle.
+  /// Deterministic recording order -- configs outer, compile rows then
+  /// inputs, backends innermost -- so first-wins witness maps are
+  /// identical for every thread count and batch size.
+  void record(const Item &It, const Grid &Obs) {
+    for (size_t C = 0; C < Opts.Configs.size(); ++C) {
+      const CompilerConfig &Config = Opts.Configs[C];
+      std::vector<std::string> Ins = configInputs(Config);
+
+      // Compile-level findings, read off each row's first cell (all cells
+      // share one compile's status fields). A rejected row records
+      // nothing, and a crash is the row's whole story.
+      for (size_t B = 0; B < Roster.size(); ++B) {
+        if (C >= Obs[B].size() || Obs[B][C].empty())
+          continue;
+        const BackendObservation &Row = Obs[B][C][0];
+        if (Row.Compile == BackendObservation::CompileStatus::Rejected)
+          continue;
+        if (Row.Compile == BackendObservation::CompileStatus::Crashed) {
+          ++Result.CrashObservations;
+          recordFinding(Config, BugEffect::Crash, Row.CrashBugId,
+                        Row.CrashSignature, B, std::string(), 0, It.Source);
+          continue;
+        }
+        // Performance anomaly: MiniCC's inflated cost model, or an
+        // external compile that blew its wall-clock budget.
+        if (Row.CompileTimeAnomaly) {
+          ++Result.PerformanceObservations;
+          attribute(Config, BugEffect::Performance, Row,
+                    "pathological compile time", B, std::string(), 0,
+                    It.Source);
+        }
+      }
+
+      // Behavioral cells: one vote per (config, input) across the roster.
+      for (size_t I = 0; I < Ins.size(); ++I) {
+        // This input's oracle verdict, by its position in the sweep union.
+        size_t U = 0;
+        while (U < AllInputs.size() && AllInputs[U] != Ins[I])
+          ++U;
+        if (U >= AllInputs.size())
+          continue; // Unreachable: configInputs is a subset of the union.
+        const OracleCache::Entry &V = It.Sweep.empty() ? It.Verdict
+                                                       : It.Sweep[U];
+        if (!V.FrontendOk || V.Status != ExecStatus::Ok)
+          continue; // Cell excluded (counted once in oraclePhase).
+
+        std::vector<const BackendObservation *> Cells(Roster.size(), nullptr);
+        for (size_t B = 0; B < Roster.size(); ++B) {
+          if (C >= Obs[B].size() || I >= Obs[B][C].size())
+            continue;
+          const BackendObservation &Cell = Obs[B][C][I];
+          Cells[B] = &Cell;
+          if (Matrix && Cell.Compile == BackendObservation::CompileStatus::Ok &&
+              Cell.Exec != BackendObservation::ExecStatus::NotRun)
+            ++Result.MatrixCellsCompared;
+        }
+
+        // The divergence *kind* is the stable part of a wrong-code
+        // signature (triage/BugSignature.h normalizes away the values).
+        MatrixVote Vote = voteMatrixCell(V.ExitCode, V.Output, Cells);
+        for (size_t B = 0; B < Roster.size(); ++B) {
+          if (Vote.Outliers[B].empty())
+            continue;
+          if (Cells[B]->Exec == BackendObservation::ExecStatus::Timeout)
+            ++Result.ExecutionTimeouts;
+          ++Result.WrongCodeObservations;
+          attribute(Config, BugEffect::WrongCode, *Cells[B], Vote.Outliers[B],
+                    B, Ins[I], I, It.Source);
+        }
+        if (Vote.OracleOutvoted) {
+          // The roster agreed against the reference semantics: either an
+          // interpreter bug or UB the exclusion pass missed. Signature-only
+          // by definition -- no ground-truth id space covers the oracle.
+          ++Result.WrongCodeObservations;
+          recordFinding(Config, BugEffect::WrongCode, 0, Vote.OracleSignature,
+                        Roster.size(), Ins[I], I, It.Source);
+        }
+      }
+    }
+  }
+
+  /// Records \p Obs's \p Effect finding for roster slot \p B. With ground
+  /// truth it goes to each fired bug of that effect (checked lookup, so
+  /// foreign ids are dropped); without, it is one signature-only finding.
+  void attribute(const CompilerConfig &Config, BugEffect Effect,
+                 const BackendObservation &Obs, const std::string &Sig,
+                 size_t B, const std::string &Input, size_t InputIdx,
+                 const std::string &Source) {
+    if (!Roster[B]->hasGroundTruth()) {
+      recordFinding(Config, Effect, 0, Sig, B, Input, InputIdx, Source);
+      return;
+    }
+    for (int Id : Obs.FiredBugs) {
+      const InjectedBug *Truth = findBug(Id);
+      if (Truth && Truth->Effect == Effect)
+        recordFinding(Config, Effect, Id, Sig, B, Input, InputIdx, Source);
+    }
+  }
+
+  /// Records one finding attributed to roster slot \p B (Roster.size() =
+  /// the reference oracle) under sweep input \p InputIdx of the config's
+  /// own sweep. Ground-truth findings (Id != 0) key UniqueBugs and
+  /// RawFindings by id; signature-only findings (Id == 0) key RawFindings
+  /// by normalized signature and never touch UniqueBugs -- distinct
+  /// clusters at one shared id slot would otherwise collapse arbitrarily.
+  void recordFinding(const CompilerConfig &Config, BugEffect Effect, int Id,
+                     const std::string &Sig, size_t B,
+                     const std::string &Input, size_t InputIdx,
+                     const std::string &Source) {
+    FoundBug Bug;
+    Bug.BugId = Id;
+    Bug.P = Config.P;
+    Bug.Effect = Effect;
+    Bug.Signature = Sig;
+    Bug.Version = Config.Version;
+    Bug.OptLevel = Config.OptLevel;
+    Bug.Mode64 = Config.Mode64;
+    // A single-backend roster leaves the backend implied, which keeps
+    // classic signatures and checkpoint bytes unchanged.
+    if (B == Roster.size())
+      Bug.Backend = "reference-oracle";
+    else if (Roster.size() >= 2)
+      Bug.Backend = Roster[B]->identity();
+    Bug.Input = Input;
+    Bug.WitnessProgram = Source;
+    FindingKey Key;
+    Key.BugId = Id;
+    Key.P = Config.P;
+    Key.Version = Config.Version;
+    Key.OptLevel = Config.OptLevel;
+    Key.Mode64 = Config.Mode64;
+    Key.BackendIdx = static_cast<unsigned>(B);
+    Key.InputIdx = static_cast<unsigned>(InputIdx);
+    if (Id == 0)
+      Key.Sig = normalizeSignature(Effect, Sig);
+    Result.RawFindings.emplace(std::move(Key), Bug);
+    if (Id != 0)
+      Result.UniqueBugs.emplace(Id, std::move(Bug));
   }
 
   const HarnessOptions &Opts;
@@ -788,20 +604,103 @@ private:
   std::vector<const CompilerBackend *> Roster;
   /// sweepUnion(Opts.Configs): the matrix's input axis.
   std::vector<std::string> AllInputs;
+  /// A second backend or a real sweep: gates MatrixCellsCompared only.
   bool Matrix = false;
-  const bool GroundTruth; ///< Primary backend's (classic path only).
   CampaignResult &Result;
   CoverageRegistry *Cov;
   /// Telemetry wiring (null/empty when off): spans record into this
   /// worker's partial summary so campaign merge stays deterministic.
   TelemetrySink *Sink = nullptr;
   TelemetrySummary *Local = nullptr;
-  TelemetryLabels Labels;
+  /// One span label per roster slot, so the hot loop never rebuilds them.
+  std::vector<std::string> Labels;
   std::vector<Item> Cur;
   std::vector<Item> InFlight;
   /// One in-flight ticket per roster slot (all begun before any finishes).
   std::vector<std::unique_ptr<BatchTicket>> Tickets;
 };
+
+/// Runs ranks [\p Begin, \p End) of \p Plan's budgeted space into \p Out:
+/// the loop behind every thread shard of runOnSeed and every fleet lease.
+/// The cursor is positioned exactly the way checkpoint resume positions a
+/// restored worker, so any contiguous subrange sees the same variants, in
+/// the same order, as the shard that would have covered those ranks.
+/// \p Shard is the status-feed slot. \returns false when the cursor
+/// rejects the range.
+bool runRange(const HarnessOptions &Opts, const CompilerBackend &Backend,
+              const SeedPlan &Plan, const BigInt &Begin, const BigInt &End,
+              unsigned Shard, CampaignResult &Out, CoverageRegistry *Cov) {
+  ProgramCursor Cursor(Plan.Units, Opts.Mode);
+  if (!Plan.ValidityPtrs.empty())
+    Cursor.setConstraints(Plan.ValidityPtrs);
+  if (!Cursor.restoreState({Begin.toString(), End.toString(), "0"}))
+    return false;
+  // Out may be the cumulative campaign result (single-threaded seeds);
+  // the status feed wants this range's delta, hence the baseline.
+  const StatusCounters Base0 = countersOf(Out);
+  TelemetrySink *Sink = Opts.Telemetry;
+  TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
+  VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
+  std::string Buffer;
+  VariantPipeline Pipe(Opts, Backend, Out, Cov);
+  while (const ProgramAssignment *PA = Cursor.next()) {
+    ++Out.VariantsEnumerated;
+    {
+      SpanTimer T(Sink, Local, "render");
+      Renderer.renderInto(*PA, Buffer);
+    }
+    Pipe.add(Buffer, nullptr);
+    if (Opts.Status && Opts.Status->noteVariant()) {
+      Opts.Status->updateShard(Shard, shardStatusNow(Out, Base0, Cursor));
+      Opts.Status->writeNow();
+    }
+  }
+  Pipe.drain();
+  const BigInt &Pruned = Cursor.pruned();
+  Out.VariantsPruned +=
+      Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
+  if (Opts.Status) {
+    CampaignStatusFeed::ShardStatus S;
+    S.C = countersOf(Out) - Base0;
+    S.RanksDone = S.RanksTotal = S.C.Enumerated + S.C.Pruned;
+    S.Finished = true;
+    Opts.Status->updateShard(Shard, S);
+  }
+  return true;
+}
+
+/// The tail every campaign runner shares once enumeration is done: the
+/// cache-eviction snapshot, opt-in triage, the global telemetry fold, and
+/// the status feed's completion.
+void finishCampaign(const HarnessOptions &Opts, CampaignResult &Result) {
+  if (Opts.Cache)
+    Result.OracleCacheEvictions = Opts.Cache->evictions();
+  if (Opts.Triage) {
+    // Post-merge and single-threaded, so the triaged report is identical
+    // for every Opts.Threads value. Checkpointed campaigns triage *after*
+    // the Complete snapshot: triage is deterministic given the merged
+    // result plus the campaign's cache state, so a crash during triage
+    // resumes from the Complete snapshot and simply re-runs it.
+    if (Opts.Status)
+      Opts.Status->beginTriage();
+    TriageOptions T;
+    T.Cache = Opts.Cache;
+    T.InjectBugs = Opts.InjectBugs;
+    T.Backend = Opts.Backend;
+    T.ExtraBackends = Opts.ExtraBackends;
+    T.Telemetry = Opts.Telemetry;
+    triageCampaign(Result, T);
+  }
+  // Global-phase telemetry (compile, batch pack, checkpoint writes, triage
+  // stages) folds into the result exactly once, at campaign end.
+  if (Opts.Telemetry)
+    Result.Telemetry.merge(Opts.Telemetry->summary());
+  if (Opts.Status) {
+    if (Opts.Triage)
+      Opts.Status->setClusters(Result.Triaged.size());
+    Opts.Status->finishCampaign(countersOf(Result));
+  }
+}
 
 } // namespace
 
@@ -1103,7 +1002,7 @@ bool DifferentialHarness::runOnSeedCheckpointed(
     }
     VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
     std::string Buffer;
-    StagedVerdicts Staged;
+    StagedVec Staged;
     VariantPipeline Pipe(Opts, backend(), Out, Cov);
     TelemetrySink *Sink = Opts.Telemetry;
     TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
@@ -1270,35 +1169,9 @@ bool DifferentialHarness::runCheckpointed(
     Ck.writeSnapshot(Text, Seq);
   }
 
-  if (Opts.Cache)
-    Result.OracleCacheEvictions = Opts.Cache->evictions();
   if (Ck.Store)
     Result.OracleStoreBytes = Store.bytesOnDisk();
-  if (Opts.Triage) {
-    // Post-merge and single-threaded, so the triaged report is identical
-    // for every Opts.Threads value. Triage runs *after* the Complete
-    // snapshot: it is deterministic given the merged result plus the
-    // campaign's cache state, so a crash during triage resumes from the
-    // Complete snapshot and simply re-runs it.
-    if (Opts.Status)
-      Opts.Status->beginTriage();
-    TriageOptions T;
-    T.Cache = Opts.Cache;
-    T.InjectBugs = Opts.InjectBugs;
-    T.Backend = Opts.Backend;
-    T.ExtraBackends = Opts.ExtraBackends;
-    T.Telemetry = Opts.Telemetry;
-    triageCampaign(Result, T);
-  }
-  // Global-phase telemetry (compile, batch pack, checkpoint writes,
-  // triage stages) folds into the result exactly once, at campaign end.
-  if (Opts.Telemetry)
-    Result.Telemetry.merge(Opts.Telemetry->summary());
-  if (Opts.Status) {
-    if (Opts.Triage)
-      Opts.Status->setClusters(Result.Triaged.size());
-    Opts.Status->finishCampaign(countersOf(Result));
-  }
+  finishCampaign(Opts, Result);
   return true;
 }
 
@@ -1343,26 +1216,7 @@ bool DifferentialHarness::resumeCampaign(const std::vector<std::string> &Seeds,
       Store.loadInto(*Opts.Cache, CP.StoreBytes);
       Result.OracleStoreBytes = Store.bytesOnDisk();
     }
-    if (Opts.Cache)
-      Result.OracleCacheEvictions = Opts.Cache->evictions();
-    if (Opts.Triage) {
-      if (Opts.Status)
-        Opts.Status->beginTriage();
-      TriageOptions T;
-      T.Cache = Opts.Cache;
-      T.InjectBugs = Opts.InjectBugs;
-      T.Backend = Opts.Backend;
-      T.ExtraBackends = Opts.ExtraBackends;
-      T.Telemetry = Opts.Telemetry;
-      triageCampaign(Result, T);
-    }
-    if (Opts.Telemetry)
-      Result.Telemetry.merge(Opts.Telemetry->summary());
-    if (Opts.Status) {
-      if (Opts.Triage)
-        Opts.Status->setClusters(Result.Triaged.size());
-      Opts.Status->finishCampaign(countersOf(Result));
-    }
+    finishCampaign(Opts, Result);
     return true;
   }
 
@@ -1372,45 +1226,9 @@ bool DifferentialHarness::resumeCampaign(const std::vector<std::string> &Seeds,
 
 void DifferentialHarness::testProgram(const std::string &Source,
                                       CampaignResult &Result) const {
-  testProgramWith(Source, Result, Opts.Cov);
-}
-
-void DifferentialHarness::testProgramWith(const std::string &Source,
-                                          CampaignResult &Result,
-                                          CoverageRegistry *Cov,
-                                          StagedVerdicts *Staged) const {
-  std::vector<const CompilerBackend *> Roster{&backend()};
-  for (const CompilerBackend *E : Opts.ExtraBackends)
-    Roster.push_back(E);
-  std::vector<std::string> AllInputs = sweepUnion(Opts.Configs);
-  const bool Matrix = Roster.size() > 1 || AllInputs.size() > 1 ||
-                      !AllInputs.front().empty();
-  OracleOutcome O = oraclePhase(Opts, Source, AllInputs, Result, Staged);
-  if (!O.Test)
-    return;
-  TelemetrySink *Sink = Opts.Telemetry;
-  TelemetrySummary *Local = Sink ? &Result.Telemetry : nullptr;
-  TelemetryLabels Labels;
-  if (Sink)
-    Labels = makeTelemetryLabels(Opts, Roster);
-  if (!Matrix) {
-    const CompilerBackend &B = backend();
-    const bool GroundTruth = B.hasGroundTruth();
-    for (size_t C = 0; C < Opts.Configs.size(); ++C) {
-      const CompilerConfig &Config = Opts.Configs[C];
-      BackendObservation Obs;
-      {
-        SpanTimer T(Sink, Local, "backend_run",
-                    Sink ? Labels.Backends[0] : std::string(),
-                    Sink ? Labels.Configs[C] : std::string());
-        Obs = B.run(Source, Config, Cov);
-      }
-      recordObservation(Config, Obs, GroundTruth, Source, O.Verdict, Result);
-    }
-    return;
-  }
-  runMatrixInline(Opts, Roster, AllInputs, Source, O, Cov,
-                  Sink ? &Labels : nullptr, Result);
+  VariantPipeline Pipe(Opts, backend(), Result, Opts.Cov);
+  Pipe.add(Source, nullptr);
+  Pipe.drain();
 }
 
 void DifferentialHarness::runOnSeed(const std::string &Source,
@@ -1422,66 +1240,28 @@ void DifferentialHarness::runOnSeed(const std::string &Source,
   if (Opts.Status)
     Opts.Status->beginSeed(Threads);
 
-  auto RunShard = [&](unsigned Index, unsigned Count_, CampaignResult &Out,
-                      CoverageRegistry *Cov) {
-    // Single-threaded shards reuse the cumulative campaign result as Out;
-    // the status feed wants this seed's delta, hence the baseline capture.
-    const StatusCounters Base0 = countersOf(Out);
-    TelemetrySink *Sink = Opts.Telemetry;
-    TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
-    ProgramCursor Cursor(Plan.Units, Opts.Mode);
-    if (!Plan.ValidityPtrs.empty())
-      Cursor.setConstraints(Plan.ValidityPtrs);
-    Cursor.setEnd(Plan.Budget);
-    Cursor.shard(Index, Count_);
-    VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
-    std::string Buffer;
-    VariantPipeline Pipe(Opts, backend(), Out, Cov);
-    while (const ProgramAssignment *PA = Cursor.next()) {
-      ++Out.VariantsEnumerated;
-      {
-        SpanTimer T(Sink, Local, "render");
-        Renderer.renderInto(*PA, Buffer);
-      }
-      Pipe.add(Buffer, nullptr);
-      if (Opts.Status && Opts.Status->noteVariant()) {
-        Opts.Status->updateShard(Index, shardStatusNow(Out, Base0, Cursor));
-        Opts.Status->writeNow();
-      }
-    }
-    Pipe.drain();
-    const BigInt &Pruned = Cursor.pruned();
-    Out.VariantsPruned +=
-        Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
-    if (Opts.Status) {
-      CampaignStatusFeed::ShardStatus S;
-      S.C = countersOf(Out) - Base0;
-      S.RanksDone = S.RanksTotal = S.C.Enumerated + S.C.Pruned;
-      S.Finished = true;
-      Opts.Status->updateShard(Index, S);
-    }
-  };
-
-  if (Threads <= 1) {
-    RunShard(0, 1, Result, Opts.Cov);
-    return;
-  }
-
   // One shard per worker over [0, Budget); each worker owns its partial
   // result and (when requested) a private coverage registry copy. Merging
   // in shard order reproduces the single-threaded result bit for bit.
+  auto RunShard = [&](unsigned W, CampaignResult &Out, CoverageRegistry *Cov) {
+    BigInt Begin, End;
+    cursor_detail::shardRange(BigInt(0), Plan.Budget, W, Threads, Begin, End);
+    runRange(Opts, backend(), Plan, Begin, End, W, Out, Cov);
+  };
+  if (Threads <= 1) {
+    RunShard(0, Result, Opts.Cov);
+    return;
+  }
   std::vector<CampaignResult> Partials(Threads);
   std::vector<CoverageRegistry> PartialCovs;
   if (Opts.Cov)
     PartialCovs.assign(Threads, *Opts.Cov);
   std::vector<std::thread> Workers;
   Workers.reserve(Threads);
-  for (unsigned W = 0; W < Threads; ++W) {
+  for (unsigned W = 0; W < Threads; ++W)
     Workers.emplace_back([&, W] {
-      RunShard(W, Threads, Partials[W],
-               Opts.Cov ? &PartialCovs[W] : nullptr);
+      RunShard(W, Partials[W], Opts.Cov ? &PartialCovs[W] : nullptr);
     });
-  }
   for (std::thread &T : Workers)
     T.join();
   for (unsigned W = 0; W < Threads; ++W)
@@ -1517,50 +1297,10 @@ bool DifferentialHarness::runLease(const std::string &Source,
           Plan.Budget.toString();
     return false;
   }
-
-  // The body below is RunShard (runOnSeed) over an arbitrary contiguous
-  // subrange: the cursor is positioned exactly the way checkpoint resume
-  // positions a restored worker, so a lease sees the same variants, in the
-  // same order, as the thread shard that would have covered these ranks.
-  const StatusCounters Base0 = countersOf(Out);
-  TelemetrySink *Sink = Opts.Telemetry;
-  TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
-  ProgramCursor Cursor(Plan.Units, Opts.Mode);
-  if (!Plan.ValidityPtrs.empty())
-    Cursor.setConstraints(Plan.ValidityPtrs);
-  CursorState CS;
-  CS.Position = Begin.toString();
-  CS.End = End.toString();
-  CS.Pruned = "0";
-  if (!Cursor.restoreState(CS)) {
-    Err = "cursor rejected lease range [" + CS.Position + ", " + CS.End + ")";
+  if (!runRange(Opts, backend(), Plan, Begin, End, 0, Out, nullptr)) {
+    Err = "cursor rejected lease range [" + Begin.toString() + ", " +
+          End.toString() + ")";
     return false;
-  }
-  VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
-  std::string Buffer;
-  VariantPipeline Pipe(Opts, backend(), Out, nullptr);
-  while (const ProgramAssignment *PA = Cursor.next()) {
-    ++Out.VariantsEnumerated;
-    {
-      SpanTimer T(Sink, Local, "render");
-      Renderer.renderInto(*PA, Buffer);
-    }
-    Pipe.add(Buffer, nullptr);
-    if (Opts.Status && Opts.Status->noteVariant()) {
-      Opts.Status->updateShard(0, shardStatusNow(Out, Base0, Cursor));
-      Opts.Status->writeNow();
-    }
-  }
-  Pipe.drain();
-  const BigInt &Pruned = Cursor.pruned();
-  Out.VariantsPruned +=
-      Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
-  if (Opts.Status) {
-    CampaignStatusFeed::ShardStatus S;
-    S.C = countersOf(Out) - Base0;
-    S.RanksDone = S.RanksTotal = S.C.Enumerated + S.C.Pruned;
-    S.Finished = true;
-    Opts.Status->updateShard(0, S);
   }
   return true;
 }
@@ -1583,29 +1323,6 @@ DifferentialHarness::runCampaign(const std::vector<std::string> &Seeds) const {
     if (Opts.Status)
       Opts.Status->commitSeed(countersOf(Result));
   }
-  if (Opts.Cache)
-    Result.OracleCacheEvictions = Opts.Cache->evictions();
-  if (Opts.Triage) {
-    // Post-merge and single-threaded, so the triaged report is identical
-    // for every Opts.Threads value.
-    if (Opts.Status)
-      Opts.Status->beginTriage();
-    TriageOptions T;
-    T.Cache = Opts.Cache;
-    T.InjectBugs = Opts.InjectBugs;
-    T.Backend = Opts.Backend;
-    T.ExtraBackends = Opts.ExtraBackends;
-    T.Telemetry = Opts.Telemetry;
-    triageCampaign(Result, T);
-  }
-  // Global-phase telemetry folds into the result exactly once, at
-  // campaign end (the checkpointed runner does the same in its tail).
-  if (Opts.Telemetry)
-    Result.Telemetry.merge(Opts.Telemetry->summary());
-  if (Opts.Status) {
-    if (Opts.Triage)
-      Opts.Status->setClusters(Result.Triaged.size());
-    Opts.Status->finishCampaign(countersOf(Result));
-  }
+  finishCampaign(Opts, Result);
   return Result;
 }

@@ -67,14 +67,14 @@ struct HarnessOptions {
   /// deterministic and identical for any thread count.
   unsigned Threads = 1;
   /// Variants per compile batch handed to CompilerBackend::beginBatch
-  /// (DESIGN.md Section 13); 1 = the classic per-variant loop. Result-
-  /// neutral by the batch contract: findings, counters, triage, and
-  /// checkpoint bytes are bit-identical for every value, which is why it
-  /// is deliberately excluded from the checkpoint options fingerprint --
-  /// a campaign checkpointed at one batch size may resume at another.
-  /// Only backends with real per-compile subprocess cost profit
-  /// (ExternalBackend); the in-process backend runs batches as its
-  /// ordinary loop.
+  /// (DESIGN.md Section 13); 0 and 1 both mean batches of one variant,
+  /// through the same pipeline as every other size. Result-neutral by the
+  /// batch contract: findings, counters, triage, and checkpoint bytes are
+  /// bit-identical for every value, which is why it is deliberately
+  /// excluded from the checkpoint options fingerprint -- a campaign
+  /// checkpointed at one batch size may resume at another. Only backends
+  /// with real per-compile subprocess cost profit (ExternalBackend); the
+  /// in-process backend runs batches as its ordinary loop.
   uint64_t BatchSize = 1;
   /// Compiler configurations to test.
   std::vector<CompilerConfig> Configs;
@@ -87,15 +87,16 @@ struct HarnessOptions {
   /// compiler or command line.
   const CompilerBackend *Backend = nullptr;
   /// Additional compilers for the N-way differential matrix (DESIGN.md
-  /// Section 14). Empty = the classic campaign: Backend alone against the
-  /// reference oracle, byte-for-byte the pre-matrix behavior. Non-empty:
-  /// every tested variant is compiled by the whole roster (Backend is slot
-  /// 0) under every config, each compiled artifact is executed once per
-  /// sweep input, and the per-cell observations are attributed by
-  /// majority-vs-outlier voting (triage/MatrixVote.h) instead of plain
-  /// backend-vs-oracle comparison. Findings carry the attributed backend's
-  /// identity(); the full roster's identities are folded into the
-  /// checkpoint options fingerprint in slot order.
+  /// Section 14). Every tested variant is compiled by the whole roster
+  /// (Backend is slot 0) under every config, each compiled artifact is
+  /// executed once per sweep input, and the per-cell observations are
+  /// attributed by majority-vs-outlier voting (triage/MatrixVote.h).
+  /// Empty = the classic campaign, a roster of one: its vote can never
+  /// outvote the oracle and reduces exactly to backend-vs-oracle
+  /// comparison, and its findings carry no backend identity. Otherwise
+  /// findings carry the attributed backend's identity(); the full roster's
+  /// identities are folded into the checkpoint options fingerprint in slot
+  /// order.
   std::vector<const CompilerBackend *> ExtraBackends;
   /// Optional coverage registry threaded into every compilation. With
   /// Threads > 1 each worker records into a private copy; the copies are
@@ -367,8 +368,8 @@ struct CampaignResult {
   /// Differential matrix cells actually compared: one per (backend,
   /// config, sweep input) observation that reached behavioral comparison
   /// (compile Ok, executed, oracle verdict valid for that input). Zero in
-  /// a classic campaign (no ExtraBackends, no sweeps) -- the counter, like
-  /// the matrix itself, is inert there.
+  /// a classic campaign (no ExtraBackends, no sweeps): the one place the
+  /// shared variant path tells the two apart.
   uint64_t MatrixCellsCompared = 0;
   /// Sweep inputs excluded per tested variant because the reference oracle
   /// hit UB / non-termination under that input (the per-cell analogue of
@@ -442,8 +443,9 @@ public:
   bool resumeCampaign(const std::vector<std::string> &Seeds,
                       CampaignResult &Result, std::string &Err) const;
 
-  /// Tests a single concrete program (no enumeration); used by the
-  /// mutation baseline and by examples.
+  /// Tests a single concrete program (no enumeration): one variant through
+  /// the same pipeline a campaign uses. Used by the mutation baseline and
+  /// by examples.
   void testProgram(const std::string &Source, CampaignResult &Result) const;
 
   /// What a fleet coordinator needs to plan leases for one seed without
@@ -465,7 +467,7 @@ public:
   /// lease. Merging all of a seed's lease fragments in ascending Begin
   /// order on top of the summarizeSeed header reproduces the
   /// single-process runOnSeed result bit for bit, because a lease runs the
-  /// same loop a thread shard does over an arbitrary contiguous subrange.
+  /// very loop a thread shard does, over an arbitrary contiguous subrange.
   /// Header counters are NOT accrued here (the coordinator owns them via
   /// summarizeSeed). \returns false with \p Err set when the seed is not
   /// enumerable or the range is outside [0, Budget].
@@ -474,19 +476,6 @@ public:
                 std::string &Err) const;
 
 private:
-  /// One staged oracle verdict: computed this interval, not yet flushed to
-  /// the on-disk store (flushes ride checkpoint publishes).
-  using StagedVerdicts =
-      std::vector<std::pair<std::string, OracleCache::Entry>>;
-
-  /// testProgram against an explicit coverage registry (per-worker copies
-  /// in parallel campaigns). Freshly computed oracle verdicts are appended
-  /// to \p Staged when given, so checkpoint publishes can flush exactly
-  /// the verdicts their cursor positions account for.
-  void testProgramWith(const std::string &Source, CampaignResult &Result,
-                       CoverageRegistry *Cov,
-                       StagedVerdicts *Staged = nullptr) const;
-
   /// The checkpointed campaign loop behind runCampaign/resumeCampaign;
   /// \p From is null for a fresh campaign. \returns false with \p Err set
   /// when a resume snapshot is inconsistent with the recomputed state.

@@ -5,11 +5,12 @@
 // N backends per variant, M sweep inputs per compiled artifact -- and the
 // guarantee that makes it trustworthy is degeneration: with N=2 (the
 // reference oracle plus one backend) and M=1 (the single empty-stdin
-// execution) the generalized loop must be bit-identical to the classic
-// campaign, and a genuine matrix campaign must be bit-identical across
-// thread counts, batch sizes, and kill/resume points, because the batched
-// pipeline, the unbatched inline loop, and the resumed continuation are
-// three different code paths over the same deterministic rank stream.
+// execution) the generalized loop must produce the classic campaign bit
+// for bit, and every campaign must be bit-identical across thread counts,
+// batch sizes, and kill/resume points: shard splits, batch boundaries,
+// and the resumed continuation all cut the same deterministic rank stream
+// differently. Golden pins at the end anchor four campaign shapes across
+// commits, which no same-binary comparison can.
 //
 //===----------------------------------------------------------------------===//
 
@@ -130,9 +131,8 @@ void expectIdentical(const RunOutput &A, const RunOutput &B,
 
 TEST(MatrixEquivalenceTest, ClassicCampaignIsIdenticalAcrossThreadsAndBatch) {
   // The N=2/M=1 configuration (no ExtraBackends, no ExecSweep) must stay
-  // the classic single-backend campaign, bit for bit, on every execution
-  // strategy: the unbatched loop (BatchSize 1), the batched pipeline
-  // (BatchSize 8), and any worker count.
+  // the classic single-backend campaign, bit for bit, at every batch size
+  // (batches of one and of eight) and any worker count.
   RunOutput Ref = runWith(classicOptions(1, 1));
   EXPECT_FALSE(Ref.Result.RawFindings.empty());
   // The matrix counters must be inert in a classic campaign.

@@ -201,13 +201,20 @@ TEST(TelemetryTest, InstrumentedCampaignIsBitIdenticalIncludingCheckpoint) {
 
       // And the instrumentation actually observed the campaign: phases on
       // both accumulation paths (worker-local spans, global checkpoint
-      // writes and triage stages) are populated. Batched runs spend their
-      // backend time in batch_wait rather than per-variant backend_run.
+      // writes and triage stages) are populated. Backend time is one
+      // batch_wait per flushed batch of the single backend: one per tested
+      // variant at batch size 1, and at least one per Batch variants
+      // otherwise (drains before publishes may flush partial batches).
+      const uint64_t Tested = RTel.VariantsTested;
+      const uint64_t Waits = RTel.Telemetry.countFor("batch_wait");
       EXPECT_GT(RTel.Telemetry.countFor("render"), 0u) << Tag;
-      EXPECT_GT(RTel.Telemetry.countFor("backend_run") +
-                    RTel.Telemetry.countFor("batch_wait"),
-                0u)
-          << Tag;
+      EXPECT_EQ(RTel.Telemetry.countFor("vote"), Tested) << Tag;
+      if (Batch == 1) {
+        EXPECT_EQ(Waits, Tested) << Tag;
+      } else {
+        EXPECT_GE(Waits, (Tested + Batch - 1) / Batch) << Tag;
+        EXPECT_LE(Waits, Tested) << Tag;
+      }
       EXPECT_GT(RTel.Telemetry.countFor("checkpoint_write"), 0u) << Tag;
       EXPECT_GT(RTel.Telemetry.countFor("triage_dedup"), 0u) << Tag;
       EXPECT_GT(Sink.eventsWritten(), 0u) << Tag;
@@ -230,10 +237,10 @@ TEST(TelemetryTest, WorkerLocalPhaseCountsMatchCampaignCounters) {
   // span (the span covers the interpretation attempt, hit or not).
   EXPECT_EQ(R.Telemetry.countFor("oracle_exec"), R.VariantsEnumerated);
   EXPECT_GE(R.Telemetry.countFor("oracle_exec"), R.OracleExecutions);
-  // One backend_run span per (tested variant, config) on the classic
-  // unbatched path.
-  EXPECT_EQ(R.Telemetry.countFor("backend_run"),
-            R.VariantsTested * Opts.Configs.size());
+  // At batch size 1 with one backend every tested variant is its own
+  // batch: one batch_wait (backend time, all configs) and one vote each.
+  EXPECT_EQ(R.Telemetry.countFor("batch_wait"), R.VariantsTested);
+  EXPECT_EQ(R.Telemetry.countFor("vote"), R.VariantsTested);
 }
 
 //===----------------------------------------------------------------------===//
@@ -295,7 +302,7 @@ TEST(TelemetryTest, EventLogParsesAndSpansNestPerThread) {
   TelemetrySink Sink(SO);
   HarnessOptions Opts = baseOptions(2, 1);
   Opts.Telemetry = &Sink;
-  (void)DifferentialHarness(Opts).runCampaign(testSeeds());
+  CampaignResult R = DifferentialHarness(Opts).runCampaign(testSeeds());
   Sink.flush();
 
   std::vector<std::string> Lines = fileLines(SO.EventLogPath);
@@ -306,16 +313,18 @@ TEST(TelemetryTest, EventLogParsesAndSpansNestPerThread) {
   // reader, and per thread the RAII discipline shows: events appear in
   // end-time order, and any two overlapping spans strictly nest.
   std::map<unsigned, std::vector<TelemetryEvent>> ByTid;
-  bool SawBackendRun = false;
+  uint64_t BatchWaits = 0;
   for (const std::string &Line : Lines) {
     EXPECT_TRUE(isValidJsonText(Line)) << Line;
     TelemetryEvent Ev;
     ASSERT_TRUE(TelemetrySink::parseEventLine(Line, Ev)) << Line;
     EXPECT_FALSE(Ev.Phase.empty()) << Line;
-    SawBackendRun |= Ev.Phase == "backend_run";
+    BatchWaits += Ev.Phase == "batch_wait";
     ByTid[Ev.Tid].push_back(Ev);
   }
-  EXPECT_TRUE(SawBackendRun);
+  // Every worker-local span reaches the log: one batch_wait per tested
+  // variant at batch size 1.
+  EXPECT_EQ(BatchWaits, R.VariantsTested);
 
   for (const auto &[Tid, Events] : ByTid) {
     for (size_t I = 1; I < Events.size(); ++I) {
