@@ -352,8 +352,9 @@ public:
     for (const CompilerBackend *E : Opts.ExtraBackends)
       Roster.push_back(E);
     AllInputs = sweepUnion(Opts.Configs);
-    // MatrixCellsCompared stays 0 in a classic campaign (one backend, no
-    // real sweep), as it always has; it is the only thing this gates.
+    // MatrixCellsCompared counts only in a real matrix (a second backend
+    // or a real sweep), so classic campaigns report 0; this flag gates
+    // nothing else.
     Matrix = Roster.size() > 1 || AllInputs.size() > 1 ||
              !AllInputs.front().empty();
     Sink = Opts.Telemetry;
@@ -1031,9 +1032,9 @@ bool DifferentialHarness::runOnSeedCheckpointed(
       }
       if (Ck.EveryN != 0 && ++SincePublish >= Ck.EveryN) {
         // Drain first: the published cursor position, partial result, and
-        // staged verdicts must describe exactly the same prefix an
-        // unbatched publish would -- that is what keeps checkpoint bytes
-        // identical across batch sizes.
+        // staged verdicts must describe exactly the same prefix at every
+        // batch size -- that is what keeps checkpoint bytes identical
+        // across batch sizes.
         Pipe.drain();
         Ck.publish(W, false, Cursor.saveState(), Out, Cov, Staged,
                    SincePublish, /*WriteFile=*/true);
