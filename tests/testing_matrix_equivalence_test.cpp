@@ -319,26 +319,29 @@ TEST(MatrixEquivalenceTest, RosterAndSweepSkewRejectTheResume) {
 // pass them all. These pins anchor behavior across commits instead: the
 // FNV-1a of the final Complete checkpoint file (every counter, both
 // finding maps, and the coverage hit set) plus the sorted triaged cluster
-// signatures, committed as literals for four campaign shapes.
+// signatures, committed as literals for four campaign shapes. Each shape
+// also runs with no CheckpointPath at 1 and 4 threads and must equal the
+// pinned checkpointed run, so the plain path is anchored by the same
+// literals.
 
 namespace {
 
 struct GoldenPin {
   uint64_t CheckpointFnv = 0;
   std::vector<std::string> Clusters;
+  /// The checkpointed run itself, for the plain-path comparisons.
+  RunOutput Run;
 };
 
 GoldenPin goldenPinOf(const HarnessOptions &Base, const std::string &Name) {
   TempDir T("golden_" + Name);
-  CoverageRegistry Cov;
-  registerPassCoverageCatalog(Cov);
   HarnessOptions Opts = Base;
-  Opts.Cov = &Cov;
   Opts.Triage = true;
   Opts.CheckpointPath = T.path("campaign.ck");
-  CampaignResult R = DifferentialHarness(Opts).runCampaign(matrixSeeds());
-
   GoldenPin Pin;
+  Pin.Run = runWith(Opts);
+  const CampaignResult &R = Pin.Run.Result;
+
   std::ifstream In(Opts.CheckpointPath, std::ios::binary);
   std::ostringstream Bytes;
   Bytes << In.rdbuf();
@@ -362,6 +365,14 @@ void expectGolden(const HarnessOptions &Opts, const std::string &Name,
   EXPECT_EQ(Got.CheckpointFnv, WantFnv)
       << Name << ": checkpoint bytes moved (clusters:" << Listing << ")";
   EXPECT_EQ(Got.Clusters, Want) << Name << ": clusters moved:" << Listing;
+  // The same shape without a checkpoint file must be the same campaign.
+  for (unsigned Threads : {1u, 4u}) {
+    HarnessOptions Plain = Opts;
+    Plain.Triage = true;
+    Plain.Threads = Threads;
+    expectIdentical(runWith(Plain), Got.Run,
+                    Name + " plain t" + std::to_string(Threads));
+  }
 }
 
 } // namespace
@@ -390,4 +401,17 @@ TEST(MatrixEquivalenceTest, GoldenThreeBackendMatrix) {
   // Three agreeing clones outvote the oracle on the injected miscompile.
   expectGolden(matrixOptions(1, 1, B, C), "matrix_n3", 5054206416074854235ull,
                {"gcc-sim/wrong-code/miscompilation (exit)@reference-oracle"});
+}
+
+TEST(MatrixEquivalenceTest, PlainCampaignIgnoresSimulatedCrash) {
+  // The crash hook only kills checkpointed campaigns: without a snapshot
+  // file there is nothing to resume from, so a plain campaign runs to
+  // completion as if the hook were unset.
+  RunOutput Ref = runWith(classicOptions(1, 1));
+  for (unsigned Threads : {1u, 4u}) {
+    HarnessOptions Opts = classicOptions(Threads, 1);
+    Opts.SimulateCrashAfter = 5;
+    expectIdentical(runWith(Opts), Ref,
+                    "crash hook t" + std::to_string(Threads));
+  }
 }
