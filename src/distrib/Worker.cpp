@@ -41,23 +41,6 @@ bool isDecimal(const std::string &T) {
   return true;
 }
 
-/// The counter slice of \p R the heartbeat publishes (the harness's
-/// countersOf, which is internal to Harness.cpp).
-StatusCounters countersOf(const CampaignResult &R) {
-  StatusCounters C;
-  C.Enumerated = R.VariantsEnumerated;
-  C.Tested = R.VariantsTested;
-  C.Pruned = R.VariantsPruned;
-  C.OracleExcluded = R.VariantsOracleExcluded;
-  C.OracleExecs = R.OracleExecutions;
-  C.CacheHits = R.OracleCacheHits;
-  C.Timeouts = R.ExecutionTimeouts;
-  C.MatrixCells = R.MatrixCellsCompared;
-  C.RawFindings = R.RawFindings.size();
-  C.UniqueBugs = R.UniqueBugs.size();
-  return C;
-}
-
 } // namespace
 
 int spe::runFleetWorker(std::istream &In, std::ostream &Out,

@@ -113,10 +113,24 @@ bool CampaignResult::operator==(const CampaignResult &Other) const {
          Triaged == Other.Triaged && Reduction == Other.Reduction;
 }
 
+StatusCounters spe::countersOf(const CampaignResult &R) {
+  StatusCounters C;
+  C.Enumerated = R.VariantsEnumerated;
+  C.Tested = R.VariantsTested;
+  C.Pruned = R.VariantsPruned;
+  C.OracleExcluded = R.VariantsOracleExcluded;
+  C.OracleExecs = R.OracleExecutions;
+  C.CacheHits = R.OracleCacheHits;
+  C.Timeouts = R.ExecutionTimeouts;
+  C.MatrixCells = R.MatrixCellsCompared;
+  C.RawFindings = R.RawFindings.size();
+  C.UniqueBugs = R.UniqueBugs.size();
+  return C;
+}
+
 namespace {
 
-/// Everything the per-seed enumeration loop needs, shared by the plain and
-/// the checkpointed seed runners so the two cannot drift.
+/// Everything the per-seed enumeration loop needs.
 struct SeedPlan {
   std::unique_ptr<ASTContext> Ctx;
   std::vector<SkeletonUnit> Units;
@@ -186,30 +200,13 @@ SeedPlan buildSeedPlan(const HarnessOptions &Opts, const std::string &Source,
 /// Freshly computed verdicts staged for the next checkpoint flush.
 using StagedVec = std::vector<std::pair<std::string, OracleCache::Entry>>;
 
-/// The counter slice of \p R the live status feed publishes.
-StatusCounters countersOf(const CampaignResult &R) {
-  StatusCounters C;
-  C.Enumerated = R.VariantsEnumerated;
-  C.Tested = R.VariantsTested;
-  C.Pruned = R.VariantsPruned;
-  C.OracleExcluded = R.VariantsOracleExcluded;
-  C.OracleExecs = R.OracleExecutions;
-  C.CacheHits = R.OracleCacheHits;
-  C.Timeouts = R.ExecutionTimeouts;
-  C.MatrixCells = R.MatrixCellsCompared;
-  C.RawFindings = R.RawFindings.size();
-  C.UniqueBugs = R.UniqueBugs.size();
-  return C;
-}
-
 /// This worker's live shard progress for the status feed. saveState() is
 /// not free (BigInt decimal round-trips), but this only runs when a status
 /// write is already due -- wall-clock cadence, not per variant.
 CampaignStatusFeed::ShardStatus shardStatusNow(const CampaignResult &Out,
-                                               const StatusCounters &Base0,
                                                ProgramCursor &Cursor) {
   CampaignStatusFeed::ShardStatus S;
-  S.C = countersOf(Out) - Base0;
+  S.C = countersOf(Out);
   CursorState CS = Cursor.saveState();
   BigInt Pos = BigInt::fromDecimalString(CS.Position);
   BigInt End = BigInt::fromDecimalString(CS.End);
@@ -621,56 +618,7 @@ private:
   std::vector<std::unique_ptr<BatchTicket>> Tickets;
 };
 
-/// Runs ranks [\p Begin, \p End) of \p Plan's budgeted space into \p Out:
-/// the loop behind every thread shard of runOnSeed and every fleet lease.
-/// The cursor is positioned exactly the way checkpoint resume positions a
-/// restored worker, so any contiguous subrange sees the same variants, in
-/// the same order, as the shard that would have covered those ranks.
-/// \p Shard is the status-feed slot. \returns false when the cursor
-/// rejects the range.
-bool runRange(const HarnessOptions &Opts, const CompilerBackend &Backend,
-              const SeedPlan &Plan, const BigInt &Begin, const BigInt &End,
-              unsigned Shard, CampaignResult &Out, CoverageRegistry *Cov) {
-  ProgramCursor Cursor(Plan.Units, Opts.Mode);
-  if (!Plan.ValidityPtrs.empty())
-    Cursor.setConstraints(Plan.ValidityPtrs);
-  if (!Cursor.restoreState({Begin.toString(), End.toString(), "0"}))
-    return false;
-  // Out may be the cumulative campaign result (single-threaded seeds);
-  // the status feed wants this range's delta, hence the baseline.
-  const StatusCounters Base0 = countersOf(Out);
-  TelemetrySink *Sink = Opts.Telemetry;
-  TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
-  VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
-  std::string Buffer;
-  VariantPipeline Pipe(Opts, Backend, Out, Cov);
-  while (const ProgramAssignment *PA = Cursor.next()) {
-    ++Out.VariantsEnumerated;
-    {
-      SpanTimer T(Sink, Local, "render");
-      Renderer.renderInto(*PA, Buffer);
-    }
-    Pipe.add(Buffer, nullptr);
-    if (Opts.Status && Opts.Status->noteVariant()) {
-      Opts.Status->updateShard(Shard, shardStatusNow(Out, Base0, Cursor));
-      Opts.Status->writeNow();
-    }
-  }
-  Pipe.drain();
-  const BigInt &Pruned = Cursor.pruned();
-  Out.VariantsPruned +=
-      Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
-  if (Opts.Status) {
-    CampaignStatusFeed::ShardStatus S;
-    S.C = countersOf(Out) - Base0;
-    S.RanksDone = S.RanksTotal = S.C.Enumerated + S.C.Pruned;
-    S.Finished = true;
-    Opts.Status->updateShard(Shard, S);
-  }
-  return true;
-}
-
-/// The tail every campaign runner shares once enumeration is done: the
+/// The tail every campaign shares once enumeration is done: the
 /// cache-eviction snapshot, opt-in triage, the global telemetry fold, and
 /// the status feed's completion.
 void finishCampaign(const HarnessOptions &Opts, CampaignResult &Result) {
@@ -706,25 +654,30 @@ void finishCampaign(const HarnessOptions &Opts, CampaignResult &Result) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Checkpointed campaigns (persist/Checkpoint.h, DESIGN.md Section 11)
+// Campaign state and checkpoints (persist/Checkpoint.h, DESIGN.md Section 11)
 //===----------------------------------------------------------------------===//
 
 namespace spe {
 
-/// Shared state of one checkpointed campaign run: the live snapshot, the
-/// oracle backing store, and the simulated-crash trigger. The state mutex
-/// M guards snapshot mutation and store flushes; the snapshot *file*
-/// write happens outside M (serialization pins the state under M, then a
-/// sequence-guarded second mutex orders the disk writes) so workers do
-/// not stall behind the largest I/O. Store drains do run under M -- the
-/// recorded StoreBytes must be consistent with the snapshot serialized
-/// in the same critical section -- but only at cadence-due events, so
-/// the fsync cost is amortized over CheckpointEveryN variants.
+/// Shared state of one campaign run: the live snapshot, the oracle backing
+/// store, and the simulated-crash trigger. A campaign without
+/// CheckpointPath runs with an *inactive* context (empty Path): commit()
+/// returns at once, so no snapshot is kept, fingerprinted, serialized or
+/// written, and EveryN, CrashAfter and Store stay off, so workers never
+/// publish, drain mid-seed or simulate a crash.
+///
+/// The state mutex M guards snapshot mutation and store flushes; the
+/// snapshot *file* write happens outside M (serialization pins the state
+/// under M, then a sequence-guarded second mutex orders the disk writes) so
+/// workers do not stall behind the largest I/O. Store drains do run under
+/// M -- the recorded StoreBytes must be consistent with the snapshot
+/// serialized in the same critical section -- but only at cadence-due
+/// events, so the fsync cost is amortized over CheckpointEveryN variants.
 struct CheckpointContext {
   std::mutex M;
   CampaignCheckpoint Snap;
   OracleStore *Store = nullptr; ///< Null when no backing store is active.
-  std::string Path;
+  std::string Path;             ///< Empty = inactive context.
   uint64_t EveryN = 0;
   uint64_t CrashAfter = 0; ///< 0 = no simulated crash.
   std::atomic<uint64_t> Variants{0};
@@ -746,29 +699,65 @@ struct CheckpointContext {
   /// global-phase "checkpoint_write" span.
   TelemetrySink *Sink = nullptr;
 
-  /// Writes \p Text (snapshot generation \p Seq, serialized under M) to
-  /// the snapshot file unless a newer generation already landed. Called
-  /// WITHOUT M held. Write failures are non-fatal -- persistence is
-  /// best-effort and never blocks the campaign itself -- but a campaign
-  /// silently running without the crash protection it was asked for is a
-  /// misconfiguration worth one loud line.
-  void writeSnapshot(const std::string &Text, uint64_t Seq) {
-    std::lock_guard<std::mutex> Lock(IOMutex);
-    if (Seq <= WrittenSeq)
+  bool crashed() const { return Crashed.load(std::memory_order_relaxed); }
+
+  /// Whether workers should stage fresh verdicts for the store.
+  bool staging() const {
+    return Store != nullptr && !StoreDead.load(std::memory_order_relaxed);
+  }
+
+  /// The one snapshot-update routine. Under M, applies \p Mutate to Snap;
+  /// when it returns true a file write is due: pending verdicts drain to
+  /// the store, the snapshot serializes, and the text reaches disk after M
+  /// is released. An inactive context returns before touching anything,
+  /// and a crashed one ("process" already dead) lets nothing more reach
+  /// the snapshot.
+  template <typename MutateFn> void commit(MutateFn Mutate) {
+    if (Path.empty())
       return;
-    SpanTimer Span(Sink, nullptr, "checkpoint_write");
-    std::string Err;
-    if (atomicWriteFile(Path, Text, &Err)) {
-      WrittenSeq = Seq;
-      WriteWarned = false;
-    } else if (!WriteWarned) {
-      std::fprintf(stderr,
-                   "spe: checkpoint snapshot write failed (%s); the "
-                   "campaign continues WITHOUT crash protection until a "
-                   "write succeeds\n",
-                   Err.c_str());
-      WriteWarned = true;
+    std::string Text;
+    uint64_t Seq = 0;
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      if (crashed() || !Mutate())
+        return;
+      drainPendingLocked();
+      Text = Snap.serialize();
+      Seq = ++PublishSeq;
+      SinceWrite = 0;
     }
+    // Disk I/O happens outside the state mutex: other workers may keep
+    // enumerating and publishing while this snapshot reaches disk.
+    writeSnapshot(Text, Seq);
+  }
+
+  /// Publishes worker \p W's progress; \p WriteFile additionally rewrites
+  /// the snapshot file. Mid-run publishes write (they are the only
+  /// persistence a long gap gets); the final publish of an exhausting
+  /// shard does not -- the seed-commit write follows immediately after
+  /// the join, and a crash in that window merely redoes the tail since
+  /// the last mid-run publish.
+  void publish(unsigned W, bool Finished, CursorState Cursor,
+               const CampaignResult &Partial, CoverageRegistry *Cov,
+               StagedVec &Staged, uint64_t DeltaVariants, bool WriteFile) {
+    commit([&] {
+      if (!StoreDead.load(std::memory_order_relaxed))
+        Pending.insert(Pending.end(), std::make_move_iterator(Staged.begin()),
+                       std::make_move_iterator(Staged.end()));
+      Staged.clear();
+      WorkerCheckpoint &Slot = Snap.Workers[W];
+      Slot.Finished = Finished;
+      Slot.Cursor = std::move(Cursor);
+      Slot.Partial = Partial;
+      if (Cov)
+        Slot.CovHits = Cov->hitSet();
+      // Cadence accounting: \p DeltaVariants is this worker's work since
+      // its previous publish, so SinceWrite counts exactly the variants
+      // not yet covered by a file write -- no double counting between
+      // mid-run publishes and seed commits.
+      SinceWrite += DeltaVariants;
+      return WriteFile;
+    });
   }
 
   /// Counts one produced variant toward the simulated crash. \returns true
@@ -784,12 +773,13 @@ struct CheckpointContext {
     return false;
   }
 
+private:
   /// Verdicts accepted from worker publishes but not yet appended to the
   /// store (guarded by M). Draining -- with its fsync -- happens only when
   /// a snapshot file write is actually due: a snapshot that never reaches
   /// disk never references the bytes, so buffering costs nothing but
   /// redone work after a crash.
-  std::vector<std::pair<std::string, OracleCache::Entry>> Pending;
+  StagedVec Pending;
   /// Consecutive failed drains; past a small streak the store is disabled
   /// (with a warning) so Pending cannot grow without bound.
   unsigned DrainFailures = 0;
@@ -830,58 +820,116 @@ struct CheckpointContext {
     }
   }
 
-  /// Publishes worker \p W's progress; \p WriteFile additionally rewrites
-  /// the snapshot file. Mid-run publishes write (they are the only
-  /// persistence a long gap gets); the final publish of an exhausting
-  /// shard does not -- the seed-commit write follows immediately after
-  /// the join, and a crash in that window merely redoes the tail since
-  /// the last mid-run publish.
-  void publish(unsigned W, bool Finished, CursorState Cursor,
-               const CampaignResult &Partial, CoverageRegistry *Cov,
-               std::vector<std::pair<std::string, OracleCache::Entry>>
-                   &Staged,
-               uint64_t DeltaVariants, bool WriteFile) {
-    std::string Text;
-    uint64_t Seq = 0;
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      if (Crashed.load(std::memory_order_relaxed))
-        return; // The "process" is already dead; nothing more reaches disk.
-      if (!StoreDead.load(std::memory_order_relaxed))
-        Pending.insert(Pending.end(),
-                       std::make_move_iterator(Staged.begin()),
-                       std::make_move_iterator(Staged.end()));
-      Staged.clear();
-      WorkerCheckpoint &Slot = Snap.Workers[W];
-      Slot.Finished = Finished;
-      Slot.Cursor = std::move(Cursor);
-      Slot.Partial = Partial;
-      if (Cov)
-        Slot.CovHits = Cov->hitSet();
-      // Cadence accounting: \p DeltaVariants is this worker's work since
-      // its previous publish, so SinceWrite counts exactly the variants
-      // not yet covered by a file write -- no double counting between
-      // mid-run publishes and seed commits.
-      SinceWrite += DeltaVariants;
-      if (!WriteFile)
-        return;
-      drainPendingLocked();
-      Text = Snap.serialize();
-      Seq = ++PublishSeq;
-      SinceWrite = 0;
+  /// Writes \p Text (snapshot generation \p Seq, serialized under M) to
+  /// the snapshot file unless a newer generation already landed. Called
+  /// WITHOUT M held. Write failures are non-fatal -- persistence is
+  /// best-effort and never blocks the campaign itself -- but a campaign
+  /// silently running without the crash protection it was asked for is a
+  /// misconfiguration worth one loud line.
+  void writeSnapshot(const std::string &Text, uint64_t Seq) {
+    std::lock_guard<std::mutex> Lock(IOMutex);
+    if (Seq <= WrittenSeq)
+      return;
+    SpanTimer Span(Sink, nullptr, "checkpoint_write");
+    std::string Err;
+    if (atomicWriteFile(Path, Text, &Err)) {
+      WrittenSeq = Seq;
+      WriteWarned = false;
+    } else if (!WriteWarned) {
+      std::fprintf(stderr,
+                   "spe: checkpoint snapshot write failed (%s); the "
+                   "campaign continues WITHOUT crash protection until a "
+                   "write succeeds\n",
+                   Err.c_str());
+      WriteWarned = true;
     }
-    // Disk I/O happens outside the state mutex: other workers may keep
-    // enumerating and publishing while this snapshot reaches disk.
-    writeSnapshot(Text, Seq);
   }
 };
 
 } // namespace spe
 
-bool DifferentialHarness::runOnSeedCheckpointed(
-    const std::string &Source, CampaignResult &Merged, CheckpointContext &Ck,
-    const std::vector<WorkerCheckpoint> *Resume, uint64_t ResumeCFp,
-    const CampaignResult *ResumeHeader, std::string &Err) const {
+namespace {
+
+/// The one enumeration loop, behind every thread shard of a campaign and
+/// every fleet lease: runs \p Plan's ranks from cursor state \p From (a
+/// fresh shard, a lease range, or a restored mid-shard state with its
+/// pruned count) into \p Out, the per-shard partial of worker \p W, which
+/// is also its status-feed slot. Positioning by restoreState means any
+/// contiguous subrange sees the same variants, in the same order, as the
+/// shard that would have covered those ranks. Under an active \p Ck the
+/// worker publishes every Ck.EveryN variants and once more when its shard
+/// is exhausted. \returns false when the cursor rejects \p From.
+bool runShard(const HarnessOptions &Opts, const CompilerBackend &Backend,
+              const SeedPlan &Plan, const CursorState &From, unsigned W,
+              CampaignResult &Out, CoverageRegistry *Cov,
+              CheckpointContext &Ck) {
+  ProgramCursor Cursor(Plan.Units, Opts.Mode);
+  if (!Plan.ValidityPtrs.empty())
+    Cursor.setConstraints(Plan.ValidityPtrs);
+  if (!Cursor.restoreState(From))
+    return false;
+  TelemetrySink *Sink = Opts.Telemetry;
+  TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
+  VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
+  std::string Buffer;
+  StagedVec Staged;
+  VariantPipeline Pipe(Opts, Backend, Out, Cov);
+  uint64_t SincePublish = 0;
+  while (const ProgramAssignment *PA = Cursor.next()) {
+    if (Ck.countVariant())
+      return true; // Simulated kill: unpublished work dies with the process
+                   // -- including whatever the pipeline holds undrained.
+    ++Out.VariantsEnumerated;
+    {
+      SpanTimer T(Sink, Local, "render");
+      Renderer.renderInto(*PA, Buffer);
+    }
+    Pipe.add(Buffer, Ck.staging() ? &Staged : nullptr);
+    if (Opts.Status && Opts.Status->noteVariant()) {
+      Opts.Status->updateShard(W, shardStatusNow(Out, Cursor));
+      Opts.Status->writeNow();
+    }
+    if (Ck.EveryN != 0 && ++SincePublish >= Ck.EveryN) {
+      // Drain first: the published cursor position, partial result, and
+      // staged verdicts must describe exactly the same prefix at every
+      // batch size -- that is what keeps checkpoint bytes identical
+      // across batch sizes.
+      Pipe.drain();
+      Ck.publish(W, false, Cursor.saveState(), Out, Cov, Staged,
+                 SincePublish, /*WriteFile=*/true);
+      SincePublish = 0;
+    }
+  }
+  if (Ck.crashed())
+    return true;
+  Pipe.drain();
+  const BigInt &Pruned = Cursor.pruned();
+  Out.VariantsPruned +=
+      Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
+  if (Opts.Status) {
+    CampaignStatusFeed::ShardStatus S;
+    S.C = countersOf(Out);
+    S.RanksDone = S.RanksTotal = S.C.Enumerated + S.C.Pruned;
+    S.Finished = true;
+    Opts.Status->updateShard(W, S);
+  }
+  // The final publish folds the pruned counter and marks the shard
+  // finished; a resume restores it verbatim instead of re-running it.
+  // No file write: the seed commit right after the join persists it.
+  Ck.publish(W, true, Cursor.saveState(), Out, Cov, Staged, SincePublish,
+             /*WriteFile=*/false);
+  return true;
+}
+
+} // namespace
+
+bool DifferentialHarness::runSeed(const std::string &Source,
+                                  CampaignResult &Merged,
+                                  CheckpointContext &Ck,
+                                  const std::vector<WorkerCheckpoint> *Resume,
+                                  uint64_t ResumeCFp,
+                                  const CampaignResult *ResumeHeader,
+                                  std::string &Err) const {
   CampaignResult Header;
   SeedPlan Plan = buildSeedPlan(Opts, Source, Header);
 
@@ -892,10 +940,7 @@ bool DifferentialHarness::runOnSeedCheckpointed(
   // campaigns over many small seeds do not pay one write per seed;
   // EveryN == 0 means every seed boundary writes.
   auto CommitSeed = [&]() {
-    std::string Text;
-    uint64_t Seq = 0;
-    {
-      std::lock_guard<std::mutex> Lock(Ck.M);
+    Ck.commit([&] {
       Ck.Snap.InFlight = false;
       Ck.Snap.ConstraintsFingerprint = 0;
       Ck.Snap.SeedHeader = CampaignResult();
@@ -904,14 +949,10 @@ bool DifferentialHarness::runOnSeedCheckpointed(
       Ck.Snap.Merged = Merged;
       if (Opts.Cov)
         Ck.Snap.CovHits = Opts.Cov->hitSet();
-      if (Ck.EveryN != 0 && Ck.SinceWrite < Ck.EveryN)
-        return;
-      Ck.drainPendingLocked();
-      Text = Ck.Snap.serialize();
-      Seq = ++Ck.PublishSeq;
-      Ck.SinceWrite = 0;
-    }
-    Ck.writeSnapshot(Text, Seq);
+      return Ck.EveryN == 0 || Ck.SinceWrite >= Ck.EveryN;
+    });
+    if (Opts.Status)
+      Opts.Status->commitSeed(countersOf(Merged));
   };
 
   if (!Plan.Ready) {
@@ -922,13 +963,11 @@ bool DifferentialHarness::runOnSeedCheckpointed(
     }
     Merged.merge(Header);
     CommitSeed();
-    if (Opts.Status)
-      Opts.Status->commitSeed(countersOf(Merged));
     return true;
   }
 
-  uint64_t CFp = fingerprintConstraints(Plan.Validity);
   unsigned Threads = Plan.Threads;
+  std::vector<WorkerCheckpoint> Init;
   if (Resume) {
     if (Resume->size() != Threads) {
       Err = "snapshot has " + std::to_string(Resume->size()) +
@@ -936,7 +975,7 @@ bool DifferentialHarness::runOnSeedCheckpointed(
             " (Threads option or hardware changed?)";
       return false;
     }
-    if (ResumeCFp != CFp) {
+    if (ResumeCFp != fingerprintConstraints(Plan.Validity)) {
       Err = "validity-constraints fingerprint mismatch (analysis skew)";
       return false;
     }
@@ -945,115 +984,55 @@ bool DifferentialHarness::runOnSeedCheckpointed(
             "(front-end skew)";
       return false;
     }
+    Init = *Resume;
+  } else {
+    // One shard per worker over [0, Budget).
+    Init.resize(Threads);
+    for (unsigned W = 0; W < Threads; ++W) {
+      BigInt Begin, End;
+      cursor_detail::shardRange(BigInt(0), Plan.Budget, W, Threads, Begin,
+                                End);
+      Init[W].Cursor = {Begin.toString(), End.toString(), "0"};
+    }
   }
 
   // Seat the in-flight snapshot before any worker runs, so a crash landing
-  // before the first publish resumes from the seed's start.
-  {
-    std::lock_guard<std::mutex> Lock(Ck.M);
+  // before the first publish resumes from the seed's start. In-memory
+  // only: the on-disk file still shows the previous seed commit, from
+  // which a resume correctly re-runs this seed's prefix.
+  Ck.commit([&] {
     Ck.Snap.InFlight = true;
-    Ck.Snap.ConstraintsFingerprint = CFp;
+    Ck.Snap.ConstraintsFingerprint = fingerprintConstraints(Plan.Validity);
     Ck.Snap.SeedHeader = Header;
-    Ck.Snap.Workers.clear();
-    if (Resume) {
-      Ck.Snap.Workers = *Resume;
-    } else {
-      Ck.Snap.Workers.resize(Threads);
-      for (unsigned W = 0; W < Threads; ++W) {
-        BigInt Begin, End;
-        cursor_detail::shardRange(BigInt(0), Plan.Budget, W, Threads, Begin,
-                                  End);
-        WorkerCheckpoint &Slot = Ck.Snap.Workers[W];
-        Slot.Cursor = {Begin.toString(), End.toString(), "0"};
-        if (Opts.Cov)
-          Slot.CovHits = Opts.Cov->hitSet();
-      }
-    }
-    // In-memory only: the on-disk file still shows the previous seed
-    // commit, from which a resume correctly re-runs this seed's prefix.
-  }
-  // Pre-spawn copy: publishes overwrite Snap.Workers while workers read
-  // their own starting states.
-  std::vector<WorkerCheckpoint> Init = Ck.Snap.Workers;
+    Ck.Snap.Workers = Init;
+    if (Opts.Cov && !Resume)
+      for (WorkerCheckpoint &Slot : Ck.Snap.Workers)
+        Slot.CovHits = Opts.Cov->hitSet();
+    return false;
+  });
 
   if (Opts.Status)
     Opts.Status->beginSeed(Threads);
 
+  // Each worker owns its partial result and (when requested) a private
+  // coverage registry copy.
   std::vector<CampaignResult> Partials(Threads);
   std::vector<CoverageRegistry> PartialCovs;
   if (Opts.Cov)
     PartialCovs.assign(Threads, *Opts.Cov);
   std::atomic<bool> BadRestore{false};
-
   auto RunWorker = [&](unsigned W) {
-    CampaignResult &Out = Partials[W];
     CoverageRegistry *Cov = Opts.Cov ? &PartialCovs[W] : nullptr;
     const WorkerCheckpoint &From = Init[W];
-    Out = From.Partial;
+    Partials[W] = From.Partial;
     if (Cov && Resume)
       Cov->setHits(From.CovHits);
     if (From.Finished)
       return; // Shard fully folded pre-crash; restored verbatim.
-    ProgramCursor Cursor(Plan.Units, Opts.Mode);
-    if (!Plan.ValidityPtrs.empty())
-      Cursor.setConstraints(Plan.ValidityPtrs);
-    if (!Cursor.restoreState(From.Cursor)) {
+    if (!runShard(Opts, backend(), Plan, From.Cursor, W, Partials[W], Cov,
+                  Ck))
       BadRestore.store(true, std::memory_order_relaxed);
-      return;
-    }
-    VariantRenderer Renderer(*Plan.Ctx, Plan.Units);
-    std::string Buffer;
-    StagedVec Staged;
-    VariantPipeline Pipe(Opts, backend(), Out, Cov);
-    TelemetrySink *Sink = Opts.Telemetry;
-    TelemetrySummary *Local = Sink ? &Out.Telemetry : nullptr;
-    // Checkpointed workers start Out at the restored partial, which is all
-    // current-seed work -- the status baseline is therefore zero.
-    const StatusCounters Base0;
-    uint64_t SincePublish = 0;
-    while (!Ck.Crashed.load(std::memory_order_relaxed)) {
-      const ProgramAssignment *PA = Cursor.next();
-      if (!PA)
-        break;
-      if (Ck.countVariant())
-        return; // Simulated kill: unpublished work dies with the process
-                // -- including whatever the pipeline holds undrained.
-      ++Out.VariantsEnumerated;
-      {
-        SpanTimer T(Sink, Local, "render");
-        Renderer.renderInto(*PA, Buffer);
-      }
-      bool Stage = Ck.Store != nullptr &&
-                   !Ck.StoreDead.load(std::memory_order_relaxed);
-      Pipe.add(Buffer, Stage ? &Staged : nullptr);
-      if (Opts.Status && Opts.Status->noteVariant()) {
-        Opts.Status->updateShard(W, shardStatusNow(Out, Base0, Cursor));
-        Opts.Status->writeNow();
-      }
-      if (Ck.EveryN != 0 && ++SincePublish >= Ck.EveryN) {
-        // Drain first: the published cursor position, partial result, and
-        // staged verdicts must describe exactly the same prefix at every
-        // batch size -- that is what keeps checkpoint bytes identical
-        // across batch sizes.
-        Pipe.drain();
-        Ck.publish(W, false, Cursor.saveState(), Out, Cov, Staged,
-                   SincePublish, /*WriteFile=*/true);
-        SincePublish = 0;
-      }
-    }
-    if (Ck.Crashed.load(std::memory_order_relaxed))
-      return;
-    Pipe.drain();
-    const BigInt &Pruned = Cursor.pruned();
-    Out.VariantsPruned +=
-        Pruned.fitsInUint64() ? Pruned.toUint64() : ~uint64_t(0);
-    // The final publish folds the pruned counter and marks the shard
-    // finished; a resume restores it verbatim instead of re-running it.
-    // No file write: the seed commit right after the join persists it.
-    Ck.publish(W, true, Cursor.saveState(), Out, Cov, Staged, SincePublish,
-               /*WriteFile=*/false);
   };
-
   if (Threads <= 1) {
     RunWorker(0);
   } else {
@@ -1069,7 +1048,7 @@ bool DifferentialHarness::runOnSeedCheckpointed(
     Err = "snapshot cursor state does not fit the seed's rank space";
     return false;
   }
-  if (Ck.Crashed.load(std::memory_order_relaxed))
+  if (Ck.crashed())
     return true; // Campaign aborts; the caller discards the partial result.
 
   // Merging per-shard results in shard order reproduces the
@@ -1081,8 +1060,6 @@ bool DifferentialHarness::runOnSeedCheckpointed(
     for (const CoverageRegistry &Cov : PartialCovs)
       Opts.Cov->merge(Cov);
   CommitSeed();
-  if (Opts.Status)
-    Opts.Status->commitSeed(countersOf(Merged));
   return true;
 }
 
@@ -1090,13 +1067,15 @@ bool DifferentialHarness::runCheckpointed(
     const std::vector<std::string> &Seeds, const CampaignCheckpoint *From,
     CampaignResult &Result, std::string &Err) const {
   CheckpointContext Ck;
-  Ck.Path = Opts.CheckpointPath;
-  Ck.EveryN = Opts.CheckpointEveryN;
-  Ck.CrashAfter = Opts.SimulateCrashAfter;
-  Ck.Sink = Opts.Telemetry;
   OracleStore Store(Opts.OracleStorePath);
-  if (!Opts.OracleStorePath.empty() && Opts.Cache)
-    Ck.Store = &Store;
+  Ck.Path = Opts.CheckpointPath;
+  if (!Ck.Path.empty()) {
+    Ck.EveryN = Opts.CheckpointEveryN;
+    Ck.CrashAfter = Opts.SimulateCrashAfter;
+    Ck.Sink = Opts.Telemetry;
+    if (!Opts.OracleStorePath.empty() && Opts.Cache)
+      Ck.Store = &Store;
+  }
 
   size_t StartSeed = 0;
   if (From) {
@@ -1121,13 +1100,6 @@ bool DifferentialHarness::runCheckpointed(
       Store.truncateTo(Valid);
   }
 
-  Ck.Snap.OptionsFingerprint = fingerprintOptions(Opts);
-  Ck.Snap.SeedsFingerprint = fingerprintSeeds(Seeds);
-  Ck.Snap.StoreBytes = Ck.Store ? Store.bytesOnDisk() : 0;
-  Ck.Snap.NextSeed = StartSeed;
-  Ck.Snap.Merged = Result;
-  if (Opts.Cov)
-    Ck.Snap.CovHits = Opts.Cov->hitSet();
   // Fresh campaigns seed the snapshot file immediately (a crash before
   // the first publish then resumes from scratch). A *resume* must not:
   // the on-disk file still holds the richer in-flight state we are about
@@ -1135,8 +1107,16 @@ bool DifferentialHarness::runCheckpointed(
   // progress a rejected or re-crashed resume needs to fall back on. The
   // first publish or commit replaces it once the resume is past
   // validation.
-  if (!From)
-    Ck.writeSnapshot(Ck.Snap.serialize(), ++Ck.PublishSeq);
+  Ck.commit([&] {
+    Ck.Snap.OptionsFingerprint = fingerprintOptions(Opts);
+    Ck.Snap.SeedsFingerprint = fingerprintSeeds(Seeds);
+    Ck.Snap.StoreBytes = Ck.Store ? Store.bytesOnDisk() : 0;
+    Ck.Snap.NextSeed = StartSeed;
+    Ck.Snap.Merged = Result;
+    if (Opts.Cov)
+      Ck.Snap.CovHits = Opts.Cov->hitSet();
+    return From == nullptr;
+  });
 
   if (Opts.Status)
     Opts.Status->beginCampaign(Seeds.size(), StartSeed, countersOf(Result));
@@ -1145,30 +1125,21 @@ bool DifferentialHarness::runCheckpointed(
     const std::vector<WorkerCheckpoint> *Resume =
         (From && From->InFlight && S == StartSeed) ? &From->Workers
                                                    : nullptr;
-    if (!runOnSeedCheckpointed(Seeds[S], Result, Ck, Resume,
-                               Resume ? From->ConstraintsFingerprint : 0,
-                               Resume ? &From->SeedHeader : nullptr, Err))
+    if (!runSeed(Seeds[S], Result, Ck, Resume,
+                 Resume ? From->ConstraintsFingerprint : 0,
+                 Resume ? &From->SeedHeader : nullptr, Err))
       return false;
-    if (Ck.Crashed.load(std::memory_order_relaxed))
+    if (Ck.crashed())
       return true; // Simulated death: the caller resumes from disk.
   }
 
-  {
-    // The Complete snapshot always writes, whatever the cadence owes, and
-    // drains any verdicts the amortized commits left buffered. Workers
-    // have joined, but keep the protocol uniform: serialize under M,
-    // write outside it.
-    std::string Text;
-    uint64_t Seq;
-    {
-      std::lock_guard<std::mutex> Lock(Ck.M);
-      Ck.drainPendingLocked();
-      Ck.Snap.Complete = true;
-      Text = Ck.Snap.serialize();
-      Seq = ++Ck.PublishSeq;
-    }
-    Ck.writeSnapshot(Text, Seq);
-  }
+  // The Complete snapshot always writes, whatever the cadence owes, and
+  // drains any verdicts the amortized commits left buffered -- unless this
+  // run resumed a snapshot that was already Complete, which is on disk.
+  Ck.commit([&] {
+    Ck.Snap.Complete = true;
+    return !(From && From->Complete);
+  });
 
   if (Ck.Store)
     Result.OracleStoreBytes = Store.bytesOnDisk();
@@ -1201,26 +1172,9 @@ bool DifferentialHarness::resumeCampaign(const std::vector<std::string> &Seeds,
     Err = "snapshot indexes past the seed list";
     return false;
   }
-
-  if (CP.Complete) {
-    // Nothing left to enumerate; reconstitute the final state (result,
-    // coverage, cache) and run the deterministic post-campaign passes.
-    Result = CP.Merged;
-    if (Opts.Status)
-      Opts.Status->beginCampaign(Seeds.size(), Seeds.size(),
-                                 countersOf(Result));
-    if (Opts.Cov)
-      Opts.Cov->setHits(CP.CovHits);
-    if (!Opts.OracleStorePath.empty() && Opts.Cache) {
-      OracleStore Store(Opts.OracleStorePath);
-      Store.truncateTo(CP.StoreBytes);
-      Store.loadInto(*Opts.Cache, CP.StoreBytes);
-      Result.OracleStoreBytes = Store.bytesOnDisk();
-    }
-    finishCampaign(Opts, Result);
-    return true;
-  }
-
+  // A Complete snapshot leaves zero seeds to run: the runner only
+  // reconstitutes the final state (result, coverage, cache) and runs the
+  // deterministic post-campaign passes.
   Result = CampaignResult();
   return runCheckpointed(Seeds, &CP, Result, Err);
 }
@@ -1230,46 +1184,6 @@ void DifferentialHarness::testProgram(const std::string &Source,
   VariantPipeline Pipe(Opts, backend(), Result, Opts.Cov);
   Pipe.add(Source, nullptr);
   Pipe.drain();
-}
-
-void DifferentialHarness::runOnSeed(const std::string &Source,
-                                    CampaignResult &Result) const {
-  SeedPlan Plan = buildSeedPlan(Opts, Source, Result);
-  if (!Plan.Ready)
-    return;
-  unsigned Threads = Plan.Threads;
-  if (Opts.Status)
-    Opts.Status->beginSeed(Threads);
-
-  // One shard per worker over [0, Budget); each worker owns its partial
-  // result and (when requested) a private coverage registry copy. Merging
-  // in shard order reproduces the single-threaded result bit for bit.
-  auto RunShard = [&](unsigned W, CampaignResult &Out, CoverageRegistry *Cov) {
-    BigInt Begin, End;
-    cursor_detail::shardRange(BigInt(0), Plan.Budget, W, Threads, Begin, End);
-    runRange(Opts, backend(), Plan, Begin, End, W, Out, Cov);
-  };
-  if (Threads <= 1) {
-    RunShard(0, Result, Opts.Cov);
-    return;
-  }
-  std::vector<CampaignResult> Partials(Threads);
-  std::vector<CoverageRegistry> PartialCovs;
-  if (Opts.Cov)
-    PartialCovs.assign(Threads, *Opts.Cov);
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads);
-  for (unsigned W = 0; W < Threads; ++W)
-    Workers.emplace_back([&, W] {
-      RunShard(W, Partials[W], Opts.Cov ? &PartialCovs[W] : nullptr);
-    });
-  for (std::thread &T : Workers)
-    T.join();
-  for (unsigned W = 0; W < Threads; ++W)
-    Result.merge(Partials[W]);
-  if (Opts.Cov)
-    for (const CoverageRegistry &Cov : PartialCovs)
-      Opts.Cov->merge(Cov);
 }
 
 DifferentialHarness::SeedLeaseSummary
@@ -1298,32 +1212,26 @@ bool DifferentialHarness::runLease(const std::string &Source,
           Plan.Budget.toString();
     return false;
   }
-  if (!runRange(Opts, backend(), Plan, Begin, End, 0, Out, nullptr)) {
+  // A lease is never checkpointed: the coordinator journals fragments.
+  CheckpointContext NoSnapshot;
+  CampaignResult Fragment;
+  if (!runShard(Opts, backend(), Plan, {Begin.toString(), End.toString(), "0"},
+                0, Fragment, nullptr, NoSnapshot)) {
     Err = "cursor rejected lease range [" + Begin.toString() + ", " +
           End.toString() + ")";
     return false;
   }
+  Out.merge(Fragment);
   return true;
 }
 
 CampaignResult
 DifferentialHarness::runCampaign(const std::vector<std::string> &Seeds) const {
+  // A fresh run has no snapshot to mis-validate and snapshot write
+  // failures are non-fatal (best-effort persistence), so the error channel
+  // is unused here; resumeCampaign is where validation can reject.
   CampaignResult Result;
-  if (!Opts.CheckpointPath.empty()) {
-    // Snapshot write failures are non-fatal (best-effort persistence) and
-    // a fresh run has no snapshot to mis-validate, so the error channel is
-    // unused here; resumeCampaign is where validation can reject.
-    std::string Err;
-    runCheckpointed(Seeds, nullptr, Result, Err);
-    return Result;
-  }
-  if (Opts.Status)
-    Opts.Status->beginCampaign(Seeds.size(), 0, StatusCounters());
-  for (const std::string &Seed : Seeds) {
-    runOnSeed(Seed, Result);
-    if (Opts.Status)
-      Opts.Status->commitSeed(countersOf(Result));
-  }
-  finishCampaign(Opts, Result);
+  std::string Err;
+  runCheckpointed(Seeds, nullptr, Result, Err);
   return Result;
 }

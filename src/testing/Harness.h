@@ -142,7 +142,7 @@ struct HarnessOptions {
   /// accumulated since the last write -- so a campaign over many small
   /// seeds is not taxed one file write per seed, and a crash redoes at
   /// most ~N variants per worker either way. 0 = write at every seed
-  /// boundary and never mid-seed.
+  /// boundary and never mid-seed. Inert unless CheckpointPath is set.
   uint64_t CheckpointEveryN = 1000;
   /// Optional append-only on-disk backing log for Cache
   /// (persist/OracleStore.h). Loaded at campaign start -- so a later
@@ -156,7 +156,8 @@ struct HarnessOptions {
   /// Workers abandon their unpublished work with no final snapshot --
   /// exactly what SIGKILL leaves behind -- and runCampaign returns a
   /// partial result the caller should discard in favor of resuming from
-  /// the last on-disk checkpoint.
+  /// the last on-disk checkpoint. Ignored unless CheckpointPath is set: a
+  /// plain campaign has nothing to resume from, so it runs to completion.
   uint64_t SimulateCrashAfter = 0;
 
   //===--- Observability (src/support/Telemetry.h, DESIGN.md S.15) ------===//
@@ -422,11 +423,10 @@ public:
     return Opts.Backend ? *Opts.Backend : DefaultBackend;
   }
 
-  /// Enumerates one seed and tests every (variant, config) pair.
-  void runOnSeed(const std::string &Source, CampaignResult &Result) const;
-
-  /// Convenience: run a whole corpus. With CheckpointPath set the campaign
-  /// snapshots its progress as it goes (see HarnessOptions above).
+  /// Runs a whole corpus: enumerates each seed and tests every (variant,
+  /// config) pair. With CheckpointPath set the campaign snapshots its
+  /// progress as it goes (see HarnessOptions above); without it the same
+  /// loop runs and writes nothing.
   CampaignResult runCampaign(const std::vector<std::string> &Seeds) const;
 
   /// Restarts a checkpointed campaign from Opts.CheckpointPath: validates
@@ -459,15 +459,17 @@ public:
   };
 
   /// Front-end + threshold + budgeting for \p Source, enumeration skipped.
-  /// Deterministic: matches the plan runOnSeed computes for the same seed.
+  /// Deterministic: matches the plan runCampaign computes for the same
+  /// seed.
   SeedLeaseSummary summarizeSeed(const std::string &Source) const;
 
   /// Runs exactly the rank range [\p Begin, \p End) of \p Source's
   /// budgeted space and accrues into \p Out -- the worker half of a fleet
   /// lease. Merging all of a seed's lease fragments in ascending Begin
   /// order on top of the summarizeSeed header reproduces the
-  /// single-process runOnSeed result bit for bit, because a lease runs the
-  /// very loop a thread shard does, over an arbitrary contiguous subrange.
+  /// single-process campaign's result for that seed bit for bit, because a
+  /// lease runs the very loop a thread shard does, over an arbitrary
+  /// contiguous subrange.
   /// Header counters are NOT accrued here (the coordinator owns them via
   /// summarizeSeed). \returns false with \p Err set when the seed is not
   /// enumerable or the range is outside [0, Budget].
@@ -476,27 +478,26 @@ public:
                 std::string &Err) const;
 
 private:
-  /// The checkpointed campaign loop behind runCampaign/resumeCampaign;
-  /// \p From is null for a fresh campaign. \returns false with \p Err set
-  /// when a resume snapshot is inconsistent with the recomputed state.
+  /// The campaign loop behind runCampaign and resumeCampaign, checkpointed
+  /// when CheckpointPath is set; \p From is null for a fresh campaign.
+  /// \returns false with \p Err set when a resume snapshot is
+  /// inconsistent with the recomputed state.
   bool runCheckpointed(const std::vector<std::string> &Seeds,
                        const CampaignCheckpoint *From,
                        CampaignResult &Result, std::string &Err) const;
 
-  /// Enumerates one seed under checkpointing: per-worker partial results
-  /// published into \p Ck every CheckpointEveryN variants. \p Resume, when
-  /// non-null, holds the snapshot worker states (with \p ResumeCFp the
-  /// snapshot's constraints fingerprint) to reconstitute instead of
-  /// sharding afresh.
+  /// Enumerates one seed into \p Merged, one thread shard per worker;
+  /// under an active \p Ck the workers publish their partial results every
+  /// CheckpointEveryN variants. \p Resume, when non-null, holds the
+  /// snapshot worker states (with \p ResumeCFp the snapshot's constraints
+  /// fingerprint) to reconstitute instead of sharding afresh.
   /// \p ResumeHeader, when resuming, is the snapshot's recorded
   /// pre-enumeration header, cross-checked against the recomputed one as
   /// an extra skew detector.
-  bool runOnSeedCheckpointed(const std::string &Source,
-                             CampaignResult &Merged, CheckpointContext &Ck,
-                             const std::vector<WorkerCheckpoint> *Resume,
-                             uint64_t ResumeCFp,
-                             const CampaignResult *ResumeHeader,
-                             std::string &Err) const;
+  bool runSeed(const std::string &Source, CampaignResult &Merged,
+               CheckpointContext &Ck,
+               const std::vector<WorkerCheckpoint> *Resume, uint64_t ResumeCFp,
+               const CampaignResult *ResumeHeader, std::string &Err) const;
 
   HarnessOptions Opts;
   /// Fallback backend when Opts.Backend is null; the historical inline

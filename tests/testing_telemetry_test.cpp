@@ -247,6 +247,28 @@ TEST(TelemetryTest, WorkerLocalPhaseCountsMatchCampaignCounters) {
 // Status feed: parseable at any instant, live through a kill
 //===----------------------------------------------------------------------===//
 
+TEST(TelemetryTest, PlainCampaignKeepsNoSnapshot) {
+  // Without CheckpointPath the persistence knobs are inert: no snapshot
+  // write, no oracle store file, and no mid-seed pipeline drain even at
+  // CheckpointEveryN = 1. One seed on one shard at batch size 8 therefore
+  // flushes exactly ceil(Tested / 8) batches.
+  TempDir T("plain");
+  TelemetrySink Sink;
+  OracleCache Cache;
+  HarnessOptions Opts = baseOptions(1, 8);
+  Opts.Triage = false;
+  Opts.Telemetry = &Sink;
+  Opts.Cache = &Cache;
+  Opts.OracleStorePath = T.path("oracle.store");
+  Opts.CheckpointEveryN = 1;
+  CampaignResult R =
+      DifferentialHarness(Opts).runCampaign({embeddedSeeds()[0]});
+  EXPECT_GT(R.VariantsTested, 8u);
+  EXPECT_EQ(R.Telemetry.countFor("batch_wait"), (R.VariantsTested + 7) / 8);
+  EXPECT_EQ(R.Telemetry.countFor("checkpoint_write"), 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(T.Dir));
+}
+
 TEST(TelemetryTest, StatusFileIsParseableAfterSimulatedKills) {
   std::vector<std::string> Seeds = testSeeds();
   for (uint64_t KillAfter : {uint64_t(3), uint64_t(7), uint64_t(19)}) {
