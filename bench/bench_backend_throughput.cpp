@@ -52,6 +52,7 @@ std::vector<std::string> campaignSeeds() {
 int main() {
   BenchJson Json("backend_throughput");
   std::vector<std::string> Seeds = campaignSeeds();
+  bool Ok = true; // False once an identity check fails: exit 1.
 
   header("Raw subprocess overhead (ProcessRunner)");
   {
@@ -122,6 +123,7 @@ int main() {
                     "sweep below is measuring a bug, not a speedup\n",
                     static_cast<unsigned long long>(K));
         Json.put("batch_identity_violation", static_cast<uint64_t>(K));
+        Ok = false;
       }
 
       // Each tested variant still costs one *execution* per configuration;
@@ -175,10 +177,11 @@ int main() {
     if (!(RT == Reference)) {
       std::printf("!! telemetry changed the campaign result\n");
       Json.put("telemetry_identity_violation", uint64_t(1));
+      Ok = false;
     }
     emitPhaseBreakdown(Json, RT.Telemetry);
   }
 
   Json.write();
-  return 0;
+  return Ok ? 0 : 1;
 }

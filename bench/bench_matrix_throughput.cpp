@@ -88,6 +88,7 @@ const std::vector<std::string> SweepInputs = {"1\n", "2\n", "7\n", "-3\n",
 int main() {
   BenchJson Json("matrix_throughput");
   std::vector<std::string> Seeds = campaignSeeds();
+  bool Ok = true; // False once an identity check fails: exit 1.
   const size_t NConfigs = campaignOptions().Configs.size();
 
   header("Classic campaign (1 backend, 1 execution per compile)");
@@ -140,6 +141,7 @@ int main() {
       std::printf("!! BatchSize 8 changed the matrix campaign result -- "
                   "the numbers below measure a bug, not leverage\n");
       Json.put("batch_identity_violation", uint64_t(8));
+      Ok = false;
     }
 
     uint64_t Compiles = R.VariantsTested * NConfigs * RosterN;
@@ -185,10 +187,11 @@ int main() {
     if (!(RT == R)) {
       std::printf("!! telemetry changed the matrix campaign result\n");
       Json.put("telemetry_identity_violation", uint64_t(1));
+      Ok = false;
     }
     emitPhaseBreakdown(Json, RT.Telemetry);
   }
 
   Json.write();
-  return 0;
+  return Ok ? 0 : 1;
 }

@@ -45,7 +45,8 @@ std::vector<std::string> campaignSeeds() {
   return Seeds;
 }
 
-void benchCampaignScaling() {
+/// \returns false when a thread count enumerated a different variant count.
+bool benchCampaignScaling() {
   header("Campaign throughput vs worker threads");
   std::printf("hardware threads: %u\n",
               std::thread::hardware_concurrency());
@@ -56,6 +57,7 @@ void benchCampaignScaling() {
            static_cast<uint64_t>(std::thread::hardware_concurrency()));
   Json.put("seeds", static_cast<uint64_t>(Seeds.size()));
 
+  bool Ok = true;
   double BaselineRate = 0.0;
   uint64_t BaselineVariants = 0;
   std::printf("%-8s %-10s %-9s %-13s %s\n", "threads", "variants", "sec",
@@ -82,12 +84,15 @@ void benchCampaignScaling() {
     std::printf("%-8u %-10llu %-9.3f %-13.0f %.2fx\n", Threads,
                 static_cast<unsigned long long>(Result.VariantsEnumerated),
                 Sec, Rate, Rate / BaselineRate);
-    if (Result.VariantsEnumerated != BaselineVariants)
+    if (Result.VariantsEnumerated != BaselineVariants) {
       std::printf("  !! shard mismatch: %llu variants vs %llu at 1 thread\n",
                   static_cast<unsigned long long>(Result.VariantsEnumerated),
                   static_cast<unsigned long long>(BaselineVariants));
+      Ok = false;
+    }
   }
   Json.write();
+  return Ok;
 }
 
 /// A Table-1-shaped skeleton: several type classes, a scope chain with
@@ -113,7 +118,8 @@ AbstractSkeleton bigSkeleton() {
   return Sk;
 }
 
-void benchSeekLatency() {
+/// \returns false when a seek produced no assignment.
+bool benchSeekLatency() {
   header("Cursor seek latency on a Table-1-sized space");
   AbstractSkeleton Sk = bigSkeleton();
   AssignmentCursor Cursor(Sk, SpeMode::Exact);
@@ -124,6 +130,7 @@ void benchSeekLatency() {
 
   RandomEngine Rng(0x5eedULL);
   const unsigned Seeks = 50;
+  bool Ok = true;
   double Total = 0.0, Worst = 0.0;
   for (unsigned I = 0; I < Seeks; ++I) {
     // A pseudo-random rank: size * r / 2^32 for a 32-bit r.
@@ -134,14 +141,17 @@ void benchSeekLatency() {
     Cursor.seek(Rank);
     const Assignment *A = Cursor.next();
     double Sec = secondsSince(Start);
-    if (!A)
+    if (!A) {
       std::printf("  !! seek(%s) produced nothing\n", Rank.toString().c_str());
+      Ok = false;
+    }
     Total += Sec;
     if (Sec > Worst)
       Worst = Sec;
   }
   std::printf("%u random seeks: avg %.3f ms, worst %.3f ms\n", Seeks,
               1e3 * Total / Seeks, 1e3 * Worst);
+  return Ok;
 }
 
 void benchCursorStreaming() {
@@ -188,8 +198,10 @@ void benchCursorStreaming() {
 } // namespace
 
 int main() {
-  benchCampaignScaling();
-  benchSeekLatency();
+  // Both correctness checks run before the exit status is decided.
+  bool Ok = benchCampaignScaling();
+  if (!benchSeekLatency())
+    Ok = false;
   benchCursorStreaming();
-  return 0;
+  return Ok ? 0 : 1;
 }

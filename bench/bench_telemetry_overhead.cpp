@@ -97,5 +97,6 @@ int main() {
 
   std::remove("BENCH_telemetry_overhead.events.jsonl");
   std::remove("BENCH_telemetry_overhead.status.json");
-  return 0;
+  // The identity check fails the run; the timing gate is reported only.
+  return Identical ? 0 : 1;
 }
