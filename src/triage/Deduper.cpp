@@ -112,7 +112,10 @@ void spe::triageCampaign(CampaignResult &Result, const TriageOptions &Opts) {
     VariantMinimizer Minimizer(Opts.Minimize, Opts.Cache, ProbeBackend);
 
     ReproSpec Spec;
-    Spec.Config = {Rep.P, Rep.Version, Rep.OptLevel, Rep.Mode64};
+    Spec.Config.P = Rep.P;
+    Spec.Config.Version = Rep.Version;
+    Spec.Config.OptLevel = Rep.OptLevel;
+    Spec.Config.Mode64 = Rep.Mode64;
     Spec.Effect = Rep.Effect;
     Spec.SignatureKey = Cluster.Sig.Key;
     Spec.InjectBugs = Opts.InjectBugs;
