@@ -2,12 +2,14 @@
 
 #include "interp/Interpreter.h"
 
+#include "analysis/LoopInvariance.h"
 #include "support/StdinScan.h"
 
 #include <cassert>
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 using namespace spe;
@@ -127,6 +129,7 @@ private:
   Signal execStmt(const Stmt *S);
   Signal execSeek(const Stmt *S, const std::string &Label, bool &Found);
   Signal runBody(const CompoundStmt *Body);
+  bool beginTrip(const Stmt *Loop, unsigned &Trips);
   void execVarDecl(const VarDecl *V);
   void initializeObject(const LValue &LV, const Expr *Init);
 
@@ -144,6 +147,8 @@ private:
   std::map<const VarDecl *, uint32_t> Globals;
   std::vector<std::map<const VarDecl *, uint32_t>> Frames;
   unsigned CallDepth = 0;
+  /// Memoized analysis/LoopInvariance verdict per loop statement.
+  std::unordered_map<const Stmt *, bool> NeverExits;
 };
 
 //===----------------------------------------------------------------------===//
@@ -1239,11 +1244,12 @@ Signal Interp::execStmt(const Stmt *S) {
   }
   case Stmt::Kind::While: {
     const auto *W = cast<WhileStmt>(S);
+    unsigned Trips = 0;
     for (;;) {
       if (!step())
         return None;
       Value Cond = evalExpr(W->cond());
-      if (Failed || !truthy(Cond) || Failed)
+      if (Failed || !truthy(Cond) || Failed || !beginTrip(S, Trips))
         return None;
       Signal Sig = execStmt(W->body());
       if (Failed)
@@ -1256,8 +1262,9 @@ Signal Interp::execStmt(const Stmt *S) {
   }
   case Stmt::Kind::Do: {
     const auto *D = cast<DoStmt>(S);
+    unsigned Trips = 0;
     for (;;) {
-      if (!step())
+      if (!step() || !beginTrip(S, Trips))
         return None;
       Signal Sig = execStmt(D->body());
       if (Failed)
@@ -1278,6 +1285,7 @@ Signal Interp::execStmt(const Stmt *S) {
       if (Failed)
         return None;
     }
+    unsigned Trips = 0;
     for (;;) {
       if (!step())
         return None;
@@ -1286,6 +1294,8 @@ Signal Interp::execStmt(const Stmt *S) {
         if (Failed || !truthy(Cond) || Failed)
           return None;
       }
+      if (!beginTrip(S, Trips))
+        return None;
       Signal Sig = execStmt(F->body());
       if (Failed)
         return None;
@@ -1412,6 +1422,7 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
     if (Sig.K == Signal::Return || Sig.K == Signal::Goto)
       return Sig;
     // Continue the loop from the step expression (no re-init).
+    unsigned Trips = 0;
     for (;;) {
       if (F->step()) {
         evalExpr(F->step());
@@ -1425,6 +1436,8 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
         if (Failed || !truthy(Cond) || Failed)
           return None;
       }
+      if (!beginTrip(S, Trips))
+        return None;
       Signal Inner = execStmt(F->body());
       if (Failed)
         return None;
@@ -1437,6 +1450,23 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
   default:
     return None;
   }
+}
+
+/// Called whenever loop \p Loop is about to run its body, its condition
+/// holding; \p Trips counts the bodies begun in this entry of the loop. On
+/// the second trip -- one complete iteration done, so UB on the first
+/// iteration has already been reported as UB -- a loop that provably never
+/// exits (analysis/LoopInvariance.h) fails with Timeout instead of running
+/// out the step budget. \returns false once failed.
+bool Interp::beginTrip(const Stmt *Loop, unsigned &Trips) {
+  if (Trips >= 2 || ++Trips < 2)
+    return true;
+  auto [It, Inserted] = NeverExits.try_emplace(Loop, false);
+  if (Inserted)
+    It->second = loopNeverExits(Loop);
+  if (It->second)
+    fail(ExecStatus::Timeout, "loop never exits");
+  return !It->second;
 }
 
 Signal Interp::runBody(const CompoundStmt *Body) {
