@@ -1459,7 +1459,8 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
 /// exits (analysis/LoopInvariance.h) fails with Timeout instead of running
 /// out the step budget. \returns false once failed.
 bool Interp::beginTrip(const Stmt *Loop, unsigned &Trips) {
-  if (Trips >= 2 || ++Trips < 2)
+  // Trips saturates at 2, so the check runs once per entry of the loop.
+  if (Trips == 2 || ++Trips == 1)
     return true;
   auto [It, Inserted] = NeverExits.try_emplace(Loop, false);
   if (Inserted)
