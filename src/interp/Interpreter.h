@@ -43,8 +43,12 @@ enum class ExecStatus {
   Ok,
   /// Undefined behavior detected; Message names it.
   UndefinedBehavior,
-  /// Step budget exhausted (e.g. infinite loop); not UB, but the variant
-  /// is excluded from differential comparison.
+  /// Non-termination: the step budget was exhausted, or a loop that
+  /// provably never exits (analysis/LoopInvariance.h) completed one
+  /// iteration and was about to start another ("loop never exits"). Not
+  /// UB, but the variant is excluded from differential comparison. UB first
+  /// reached on a later iteration of such a loop is reported as Timeout
+  /// rather than UB; both verdicts are excluded, so Ok stays exact.
   Timeout,
   /// The program uses a feature outside the executable subset, or has no
   /// main function.
@@ -71,7 +75,9 @@ struct ExecResult {
 
 /// Interpreter configuration.
 struct InterpOptions {
-  /// Maximum number of statement/expression evaluation steps.
+  /// Maximum number of statement/expression evaluation steps. Exhausting
+  /// it is a Timeout, as is a proven never-exiting loop, which is reported
+  /// after one iteration whatever the budget.
   uint64_t MaxSteps = 2'000'000;
   /// Maximum call depth (guards runaway recursion).
   unsigned MaxCallDepth = 256;

@@ -68,10 +68,10 @@ struct ReproStats {
   uint64_t MemoHits = 0;        ///< Answered from the per-instance memo.
   uint64_t OracleRuns = 0;      ///< Reference interpretations performed.
   uint64_t OracleCacheHits = 0; ///< Verdicts replayed from the shared cache.
-  /// Probes whose candidate parsed cleanly but exhausted the interpreter
-  /// step budget (diverging candidates; cache-replayed Timeout verdicts
-  /// count too). Each fresh one costs a full worst-case interpretation, so
-  /// this is the bill the reducer's static bounded-loop guard
+  /// Probes whose candidate parsed cleanly but the oracle found diverging
+  /// (Timeout: step budget exhausted or a proven never-exiting loop;
+  /// cache-replayed Timeout verdicts count too). This is the bill the
+  /// reducer's static bounded-loop guard
   /// (ReducerOptions::BoundedLoopGuard) exists to avoid.
   uint64_t TimeoutRuns = 0;
 

@@ -32,9 +32,9 @@
 /// own frontend is simply rejected by the oracle. Candidates containing a
 /// statically unbounded loop (a frequent ddmin byproduct: the counter
 /// update deleted, the loop kept) are rejected before the oracle by a
-/// syntactic guard (ReducerOptions::BoundedLoopGuard) instead of by a full
-/// interpreter-step-budget timeout. All probe order is fixed, so reduction
-/// is deterministic for a deterministic oracle.
+/// static guard (ReducerOptions::BoundedLoopGuard) instead of by an oracle
+/// Timeout. All probe order is fixed, so reduction is deterministic for a
+/// deterministic oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,14 +58,17 @@ struct ReducerOptions {
   /// Statically reject probe candidates containing a provably unbounded
   /// loop before they reach the oracle. ddmin loves deleting a bounded
   /// loop's counter update while keeping its body, and every such probe
-  /// costs a full interpreter step-budget exhaustion (Timeout) to reject
-  /// dynamically; a syntactic check -- a loop whose body has no escape
-  /// (break/return/goto), no call, no store through a pointer, and no
-  /// store to any variable its condition reads cannot terminate once
-  /// entered -- rejects them for the price of a parse. The check is
-  /// conservative in the safe direction: it only ever rejects candidates
-  /// (recorded in ReductionOutcome::UnboundedLoopProbesRejected), so a
-  /// false positive costs a missed shrink, never an unsound reduction.
+  /// is a Timeout the oracle has to interpret (and cache) to reject. The
+  /// guard applies the oracle's own never-exits predicate
+  /// (analysis/LoopInvariance.h: no escape, call or opaque store in the
+  /// body, no store to any variable the condition reads) to the analyzed
+  /// candidate, except that a literal-zero condition counts as bounded --
+  /// such a loop is never entered. Candidates the frontend rejects pass
+  /// through to the oracle, which rejects them too. The guard only ever
+  /// rejects candidates (recorded in
+  /// ReductionOutcome::UnboundedLoopProbesRejected), so a rejection of a
+  /// loop that is never reached costs a missed shrink, never an unsound
+  /// reduction.
   bool BoundedLoopGuard = true;
   /// Fixpoint bound on pass iterations (each pass only re-runs while the
   /// previous round shrank something, so this rarely binds).

@@ -147,7 +147,7 @@ private:
   /// or `do`/`while` -- the only corpus source of do-loops, whose body the
   /// CFG layer can prove must-execute. The seed always terminates; a
   /// variant that retargets the bottom update's hole may diverge and is
-  /// excluded by the oracle's step budget.
+  /// excluded by the oracle as Timeout.
   void genBoundedLoop(unsigned Depth) {
     std::string C = freshName("b");
     line("int " + C + " = " + std::to_string(Rng.uniformInt(2, 5)) + ";");

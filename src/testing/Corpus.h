@@ -49,7 +49,7 @@ struct CorpusOptions {
   /// `while` or `do`/`while` (the only corpus source of do-loops). The
   /// seed always terminates at compile-time-bounded trip counts; variants
   /// that retarget the counter update may diverge and are excluded by the
-  /// oracle's step budget. Reads placed *after* the loop are exactly what
+  /// oracle as Timeout. Reads placed *after* the loop are exactly what
   /// the CFG-based def-before-use layer can prove about loop programs and
   /// the straight-line-prefix analysis could not. Default 0 preserves the
   /// historical stream bit for bit (same guard idiom as UninitLocalProb).

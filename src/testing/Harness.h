@@ -55,12 +55,15 @@ struct HarnessOptions {
   uint64_t VariantThreshold = 10'000;
   /// Cap on variants actually executed per seed (testing budget).
   uint64_t VariantBudget = 400;
-  /// Interpreter step budget per oracle execution. Variants that exhaust
-  /// it are Timeout and excluded from testing, the paper's treatment of
-  /// (potential) non-termination. Loop-corpus campaigns lower this so
-  /// diverging variants are cheap to exclude; a cache (OracleCache or a
-  /// checkpoint) must not be shared between runs with different values,
-  /// since the verdict key does not include the step budget.
+  /// Interpreter step budget per oracle execution (InterpOptions::MaxSteps).
+  /// Variants that exhaust it are Timeout and excluded from testing, the
+  /// paper's treatment of (potential) non-termination. A loop that
+  /// provably never exits is a Timeout after one iteration whatever this
+  /// is; the budget only bills divergence the static predicate cannot see
+  /// (state that changes but repeats, calls in the loop). Loop-corpus
+  /// campaigns lower it so those variants are cheap to exclude; a cache
+  /// (OracleCache or a checkpoint) must not be shared between runs with
+  /// different values, since the verdict key does not include the budget.
   uint64_t OracleMaxSteps = 2'000'000;
   /// Worker threads per seed: the budgeted variant range is split into one
   /// cursor shard per worker. 0 = one per hardware thread. Results are

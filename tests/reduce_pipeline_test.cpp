@@ -232,9 +232,9 @@ TEST(SkeletonReducerTest, BoundedLoopGuardRejectsUnboundedProbesStatically) {
   // A witness whose crash feature (identical conditional arms, the
   // operand_equal_p ICE) sits inside a bounded counter loop. ddmin's
   // natural first move -- delete the counter update, keep the loop --
-  // produces probes that diverge; without the guard each one burns a full
-  // interpreter step budget before the oracle can reject it (visible as
-  // ReproStats::TimeoutRuns), with the guard they are rejected by a parse.
+  // produces probes that diverge; without the guard each one reaches the
+  // oracle and is rejected there as a Timeout (visible as
+  // ReproStats::TimeoutRuns), with the guard they are rejected statically.
   const std::string Witness = "int main(void)\n{\n"
                               "  int x = 1;\n"
                               "  int y = 2;\n"

@@ -223,7 +223,7 @@ TEST(ValidityPropertyTest, LoopCorpusPrunedEnumerationKeepsOracleValidSet) {
   // The same exact-set property on the loop/call corpus, where the pruned
   // facts come from must-execute loop bodies, post-loop joins, and
   // must-called helper summaries, and where some unpruned variants diverge
-  // (retargeted counter updates) and cost the oracle its full step budget.
+  // (retargeted counter updates) and are excluded by the oracle as Timeout.
   std::vector<std::string> Seeds = loopSeeds(10);
   assertLoopCorpusShape(Seeds);
 
