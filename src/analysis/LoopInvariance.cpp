@@ -14,7 +14,7 @@ namespace {
 /// True for a subscript whose base is an array object (not a pointer): the
 /// element lives inside the base's own object.
 bool indexesArray(const IndexExpr *Ix) {
-  return Ix->base()->type() && Ix->base()->type()->isArray();
+  return Ix->base()->type()->isArray();
 }
 
 /// Root variable of a store target: peels subscripts of array-typed bases
