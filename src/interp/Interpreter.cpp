@@ -58,6 +58,14 @@ struct MemBlock {
   bool Alive = true;
 };
 
+/// One function invocation: its variable bindings and the block count at
+/// its entry. Every block allocated since then (its parameters, each
+/// execution of a declaration, its callees' blocks) dies when it returns.
+struct Frame {
+  std::map<const VarDecl *, uint32_t> Vars;
+  size_t FirstBlock = 0;
+};
+
 /// Control-flow signal propagated out of statement execution.
 struct Signal {
   enum Kind { None, Break, Continue, Return, Goto } K = None;
@@ -98,7 +106,7 @@ private:
 
   // --- memory -----------------------------------------------------------
   uint32_t allocate(const std::string &Name, uint64_t Size, bool ZeroInit);
-  void deallocateFrame(const std::map<const VarDecl *, uint32_t> &Frame);
+  void deallocateFrame(const Frame &F);
   bool checkAccess(const LValue &LV, uint64_t Size, const char *What);
   Value loadScalar(const LValue &LV);
   void storeScalar(const LValue &LV, const Value &V);
@@ -145,7 +153,7 @@ private:
 
   std::vector<MemBlock> Blocks;
   std::map<const VarDecl *, uint32_t> Globals;
-  std::vector<std::map<const VarDecl *, uint32_t>> Frames;
+  std::vector<Frame> Frames;
   unsigned CallDepth = 0;
   /// Memoized analysis/LoopInvariance verdict per loop statement.
   std::unordered_map<const Stmt *, bool> NeverExits;
@@ -165,10 +173,9 @@ uint32_t Interp::allocate(const std::string &Name, uint64_t Size,
   return static_cast<uint32_t>(Blocks.size() - 1);
 }
 
-void Interp::deallocateFrame(
-    const std::map<const VarDecl *, uint32_t> &Frame) {
-  for (const auto &[V, Block] : Frame)
-    Blocks[Block].Alive = false;
+void Interp::deallocateFrame(const Frame &F) {
+  for (size_t B = F.FirstBlock; B < Blocks.size(); ++B)
+    Blocks[B].Alive = false;
 }
 
 bool Interp::checkAccess(const LValue &LV, uint64_t Size, const char *What) {
@@ -506,8 +513,8 @@ Value Interp::pointerAdd(const Value &Ptr, int64_t Delta,
 
 uint32_t Interp::blockOf(const VarDecl *V) {
   if (!Frames.empty()) {
-    auto It = Frames.back().find(V);
-    if (It != Frames.back().end())
+    auto It = Frames.back().Vars.find(V);
+    if (It != Frames.back().Vars.end())
       return It->second;
   }
   auto It = Globals.find(V);
@@ -1105,10 +1112,11 @@ Value Interp::callFunction(const FunctionDecl *F,
     return {};
   }
   Frames.emplace_back();
+  Frames.back().FirstBlock = Blocks.size();
   for (size_t I = 0; I < F->params().size(); ++I) {
     const VarDecl *P = F->params()[I];
     uint32_t Block = allocate(P->name(), P->type()->sizeInBytes(), false);
-    Frames.back()[P] = Block;
+    Frames.back().Vars[P] = Block;
     Value V = Args[I];
     if (!V.Uninit)
       V = convert(V, P->type());
@@ -1150,7 +1158,7 @@ void Interp::execVarDecl(const VarDecl *V) {
     return;
   }
   uint32_t Block = allocate(V->name(), Size, false);
-  Frames.back()[V] = Block;
+  Frames.back().Vars[V] = Block;
   if (V->init())
     initializeObject(LValue{Block, 0, V->type()}, V->init());
 }

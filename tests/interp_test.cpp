@@ -267,6 +267,29 @@ TEST(InterpUBTest, DanglingPointerUseIsUB) {
   EXPECT_NE(R.Message.find("dangling"), std::string::npos);
 }
 
+TEST(InterpUBTest, EveryInstanceOfALoopLocalDiesOnReturn) {
+  // Each trip re-executes `int y`, allocating a fresh object; the pointer
+  // keeps the first one. Whichever instance it holds, it dangles once f
+  // returns.
+  for (const char *Trips : {"1", "2"}) {
+    ExecResult R = runProgram(
+        std::string("int *f(void) {\n"
+                    "  int *q = 0;\n"
+                    "  int i;\n"
+                    "  for (i = 0; i < ") +
+        Trips +
+        "; i = i + 1) {\n"
+        "    int y = 5;\n"
+        "    if (i == 0) q = &y;\n"
+        "  }\n"
+        "  return q;\n"
+        "}\n"
+        "int main(void) { return *f(); }");
+    EXPECT_EQ(R.Status, ExecStatus::UndefinedBehavior) << Trips;
+    EXPECT_EQ(R.Message, "dangling pointer read of 'y'") << Trips;
+  }
+}
+
 TEST(InterpUBTest, CrossObjectRelationIsUB) {
   ExecResult R = runProgram("int a; int b;\n"
                             "int main(void) { return &a < &b; }");
