@@ -47,6 +47,16 @@ const VarDecl *storeRoot(const Expr *E) {
   return nullptr;
 }
 
+/// True for `v = v` on one named variable: it stores the value the object
+/// already holds, so it changes nothing (reading `v` uninitialized is UB
+/// on the first iteration, before the predicate is consulted). Stores
+/// through subscripts or pointers (`a[i] = a[i]`, `*p = *p`) stay stores.
+bool isSelfAssignment(const BinaryExpr *B) {
+  const auto *L = dyn_cast<DeclRefExpr>(B->lhs());
+  const auto *R = dyn_cast<DeclRefExpr>(B->rhs());
+  return B->op() == BinaryOp::Assign && L && R && L->decl() == R->decl();
+}
+
 /// Collects every variable a loop condition reads. \returns false when the
 /// condition's value can change without a direct store to one of them (a
 /// call, a dereference, an arrow access, a subscript through a pointer) or
@@ -129,7 +139,7 @@ struct BodyEffects {
     }
     case Expr::Kind::Binary: {
       const auto *B = cast<BinaryExpr>(E);
-      if (isAssignmentOp(B->op()))
+      if (isAssignmentOp(B->op()) && !isSelfAssignment(B))
         store(B->lhs());
       expr(B->lhs());
       expr(B->rhs());

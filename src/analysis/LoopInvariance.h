@@ -26,6 +26,8 @@
 ///  * every store in the body has a statically known root object -- a
 ///    variable, peeled through array subscripts on array-typed bases and
 ///    `.` member accesses -- and that object is none of the condition's.
+///    A plain self-assignment of a named variable (`v = v`) is no store:
+///    it writes back the value the object already holds.
 ///
 /// Variables are compared by VarDecl identity, so a body declaration that
 /// shadows a condition variable stores to a different object. A store

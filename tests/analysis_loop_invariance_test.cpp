@@ -199,6 +199,19 @@ TEST(LoopInvarianceTest, DoWhileIsCheckedAtItsFirstTrueCondition) {
                    "}\n");
 }
 
+TEST(LoopInvarianceTest, SelfAssignmentIsNoStore) {
+  // `g0 = g0` writes back the value g0 already holds.
+  expectNeverExits("int g0 = 3;\n"
+                   "int main(void) {\n"
+                   "  int a6 = 0;\n"
+                   "  while (g0 > 0) {\n"
+                   "    g0 = g0;\n"
+                   "    a6 = g0 - 1;\n"
+                   "  }\n"
+                   "  return a6;\n"
+                   "}\n");
+}
+
 //===----------------------------------------------------------------------===//
 // Not provable: the step budget still decides
 //===----------------------------------------------------------------------===//
@@ -228,6 +241,28 @@ TEST(LoopInvarianceTest, BreakInsideInnerLoopDisablesDetection) {
                       "    y = 1;\n"
                       "  }\n"
                       "  return y;\n"
+                      "}\n");
+}
+
+TEST(LoopInvarianceTest, SelfAssignmentThroughSubscriptOrPointerIsAStore) {
+  // Only a named variable assigned to itself is exempt: `a[i] = a[i]` and
+  // `*p = *p` still count as stores.
+  expectBudgetTimeout("int main(void) {\n"
+                      "  int a[2];\n"
+                      "  int i = 0;\n"
+                      "  a[0] = 1;\n"
+                      "  while (a[0] > 0) {\n"
+                      "    a[i] = a[i];\n"
+                      "  }\n"
+                      "  return i;\n"
+                      "}\n");
+  expectBudgetTimeout("int main(void) {\n"
+                      "  int x = 1;\n"
+                      "  int *p = &x;\n"
+                      "  while (x > 0) {\n"
+                      "    *p = *p;\n"
+                      "  }\n"
+                      "  return x;\n"
                       "}\n");
 }
 
