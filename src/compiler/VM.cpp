@@ -2,6 +2,7 @@
 
 #include "compiler/VM.h"
 
+#include "support/StateRepeat.h"
 #include "support/StdinScan.h"
 
 #include <cassert>
@@ -19,11 +20,32 @@ struct VMValue {
   uint64_t Bits = 0;
   uint32_t Block = 0;
   int64_t Offset = 0;
+
+  bool operator==(const VMValue &O) const {
+    return IsPtr == O.IsPtr && Bits == O.Bits && Block == O.Block &&
+           Offset == O.Offset;
+  }
 };
 
 struct VMBlock {
   std::vector<uint8_t> Bytes;
   bool Alive = true;
+};
+
+/// The full state of one function invocation at a branch, as far as its
+/// future depends on it (DESIGN.md §17.5): the target block, the
+/// invocation's registers, memory, how much it has printed and read.
+/// Memory is the block count, the live blocks' ids and their bytes: a dead
+/// block never changes again. The invocation's slots and the call depth
+/// are fixed.
+struct VMSnapshot {
+  unsigned Target = 0;
+  size_t OutputSize = 0;
+  size_t StdinPos = 0;
+  size_t BlockCount = 0;
+  std::vector<VMValue> Regs;
+  std::vector<uint32_t> Live;
+  std::vector<std::vector<uint8_t>> Contents; ///< In Live's order.
 };
 
 class VM {
@@ -57,7 +79,8 @@ private:
 
   uint32_t allocate(uint64_t Size) {
     Blocks.push_back(VMBlock{std::vector<uint8_t>(Size, 0), true});
-    return static_cast<uint32_t>(Blocks.size() - 1);
+    Live.push_back(static_cast<uint32_t>(Blocks.size() - 1));
+    return Live.back();
   }
   bool checkAccess(uint32_t Block, int64_t Offset, uint64_t Size,
                    const char *What) {
@@ -120,6 +143,8 @@ private:
   void doPrintf(const IRInstr &I, const std::vector<VMValue> &Regs);
 
   VMValue callFunction(unsigned FnIndex, const std::vector<VMValue> &Args);
+  bool stateRepeats(StateRepeat<VMSnapshot> &Repeat, unsigned Target,
+                    const std::vector<VMValue> &Regs);
 
   const IRModule &M;
   const VMOptions &Opts;
@@ -127,6 +152,9 @@ private:
   bool Done = false;
   uint64_t Steps = 0;
   std::vector<VMBlock> Blocks;
+  /// Ids of the live blocks, ascending: an allocation pushes its id, and a
+  /// returning invocation pops its slots.
+  std::vector<uint32_t> Live;
   std::vector<uint32_t> GlobalBlocks;
   unsigned CallDepth = 0;
   StdinIntScanner Stdin; ///< Sweep-input cursor for IROp::Input.
@@ -367,6 +395,45 @@ void VM::doPrintf(const IRInstr &I, const std::vector<VMValue> &Regs) {
   Result.Output += Out;
 }
 
+/// Check point of one invocation's repeated-state detector, at a branch to
+/// block \p Target. Once the invocation has run StateRepeatArmSteps steps,
+/// a state equal in full to one it reached before ends the run with
+/// Timeout "state repeats": it would repeat the stretch in between until
+/// its step budget ran out, printing nothing more, so the status, exit
+/// code and output are exactly the budget's. \returns true once ended.
+bool VM::stateRepeats(StateRepeat<VMSnapshot> &Repeat, unsigned Target,
+                      const std::vector<VMValue> &Regs) {
+  auto Same = [&](const VMSnapshot &S) {
+    if (S.Target != Target || S.OutputSize != Result.Output.size() ||
+        S.StdinPos != Stdin.pos() || S.BlockCount != Blocks.size() ||
+        S.Live != Live || S.Regs != Regs)
+      return false;
+    // Newest first: the invocation's own slots are the likeliest to move.
+    for (size_t I = Live.size(); I-- > 0;)
+      if (Blocks[Live[I]].Bytes != S.Contents[I])
+        return false;
+    return true;
+  };
+  auto Save = [&](VMSnapshot &S) {
+    S.Target = Target;
+    S.OutputSize = Result.Output.size();
+    S.StdinPos = Stdin.pos();
+    S.BlockCount = Blocks.size();
+    S.Regs = Regs;
+    S.Live = Live;
+    // Assign in place: a re-save reuses the buffers of the last one.
+    S.Contents.resize(Live.size());
+    for (size_t I = 0; I < Live.size(); ++I)
+      S.Contents[I] = Blocks[Live[I]].Bytes;
+  };
+  if (!Repeat.visit(Steps, Blocks.size(), Same, Save))
+    return false;
+  Done = true;
+  Result.Status = VMStatus::Timeout;
+  Result.Message = "state repeats";
+  return true;
+}
+
 VMValue VM::callFunction(unsigned FnIndex,
                          const std::vector<VMValue> &Args) {
   if (++CallDepth > Opts.MaxCallDepth) {
@@ -377,6 +444,7 @@ VMValue VM::callFunction(unsigned FnIndex,
     return {};
   }
   const IRFunction &F = M.Functions[FnIndex];
+  size_t FirstBlock = Blocks.size();
   std::vector<VMValue> Regs(F.NumRegs);
   std::vector<uint32_t> SlotBlocks(F.Slots.size());
   for (size_t S = 0; S < F.Slots.size(); ++S)
@@ -388,6 +456,7 @@ VMValue VM::callFunction(unsigned FnIndex,
   unsigned BlockIndex = 0;
   size_t InstrIndex = 0;
   VMValue RetVal;
+  StateRepeat<VMSnapshot> Repeat(Steps);
   while (!Done) {
     if (!step())
       break;
@@ -519,11 +588,13 @@ VMValue VM::callFunction(unsigned FnIndex,
     case IROp::Br:
       BlockIndex = I.Succ0;
       InstrIndex = 0;
+      stateRepeats(Repeat, BlockIndex, Regs);
       break;
     case IROp::CondBr: {
       VMValue C = evalOperand(I.A, Regs);
       BlockIndex = truthy(C) ? I.Succ0 : I.Succ1;
       InstrIndex = 0;
+      stateRepeats(Repeat, BlockIndex, Regs);
       break;
     }
     case IROp::Unreachable:
@@ -532,8 +603,8 @@ VMValue VM::callFunction(unsigned FnIndex,
     }
   }
 FunctionExit:
-  for (uint32_t B : SlotBlocks)
-    Blocks[B].Alive = false;
+  for (; !Live.empty() && Live.back() >= FirstBlock; Live.pop_back())
+    Blocks[Live.back()].Alive = false;
   --CallDepth;
   return RetVal;
 }

@@ -37,7 +37,18 @@ struct VMOptions {
 };
 
 /// Outcome of a VM run.
-enum class VMStatus { Ok, Trap, Timeout };
+enum class VMStatus {
+  Ok,
+  /// A condition that would crash the host: bad memory, division by zero.
+  Trap,
+  /// Non-termination: the step budget or the call depth was exhausted
+  /// ("step budget exhausted", "call depth exceeded"), or a function
+  /// invocation branched to the same block with the same full state twice
+  /// ("state repeats", support/StateRepeat.h). A repeat is detected once
+  /// the invocation has run StateRepeatArmSteps (2^14) steps and ends the
+  /// run with the exit code and output the budget run would have had.
+  Timeout,
+};
 
 struct VMResult {
   VMStatus Status = VMStatus::Trap;

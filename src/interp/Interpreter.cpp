@@ -3,6 +3,7 @@
 #include "interp/Interpreter.h"
 
 #include "analysis/LoopInvariance.h"
+#include "support/StateRepeat.h"
 #include "support/StdinScan.h"
 
 #include <cassert>
@@ -58,12 +59,33 @@ struct MemBlock {
   bool Alive = true;
 };
 
-/// One function invocation: its variable bindings and the block count at
-/// its entry. Every block allocated since then (its parameters, each
-/// execution of a declaration, its callees' blocks) dies when it returns.
+/// The full state of one function invocation at a check point, as far as
+/// its future depends on it (DESIGN.md §17.5): where it is, memory, how
+/// much it has printed and read. Memory is the block count, the live
+/// blocks' ids and their bytes and init bits: a dead block never changes
+/// again. Bindings and call depth are implied: they cannot change without
+/// an allocation.
+struct InterpSnapshot {
+  const Stmt *Loop = nullptr; ///< The loop about to run a trip, or
+  std::string Label;          ///< the label a goto resumes at.
+  size_t OutputSize = 0;
+  size_t StdinPos = 0;
+  size_t BlockCount = 0;
+  std::vector<uint32_t> Live;
+  std::vector<MemBlock> Contents; ///< Of each live block, in Live's order.
+};
+
+/// One function invocation: its variable bindings, the block count at its
+/// entry, and its repeated-state detector. Every block allocated since
+/// entry (its parameters, each execution of a declaration, its callees'
+/// blocks) dies when it returns.
 struct Frame {
   std::map<const VarDecl *, uint32_t> Vars;
   size_t FirstBlock = 0;
+  StateRepeat<InterpSnapshot> Repeat;
+
+  Frame(size_t FirstBlock = 0, uint64_t EntrySteps = 0)
+      : FirstBlock(FirstBlock), Repeat(EntrySteps) {}
 };
 
 /// Control-flow signal propagated out of statement execution.
@@ -138,6 +160,7 @@ private:
   Signal execSeek(const Stmt *S, const std::string &Label, bool &Found);
   Signal runBody(const CompoundStmt *Body);
   bool beginTrip(const Stmt *Loop, unsigned &Trips);
+  bool stateRepeats(const Stmt *Loop, const std::string &Label);
   void execVarDecl(const VarDecl *V);
   void initializeObject(const LValue &LV, const Expr *Init);
 
@@ -152,6 +175,9 @@ private:
   StdinIntScanner Stdin; ///< Sweep-input cursor for spe_input().
 
   std::vector<MemBlock> Blocks;
+  /// Ids of the live blocks, ascending: an allocation pushes its id, and a
+  /// returning invocation pops every block allocated since its entry.
+  std::vector<uint32_t> Live;
   std::map<const VarDecl *, uint32_t> Globals;
   std::vector<Frame> Frames;
   unsigned CallDepth = 0;
@@ -170,12 +196,13 @@ uint32_t Interp::allocate(const std::string &Name, uint64_t Size,
   B.Bytes.assign(Size, 0);
   B.Init.assign(Size, ZeroInit);
   Blocks.push_back(std::move(B));
-  return static_cast<uint32_t>(Blocks.size() - 1);
+  Live.push_back(static_cast<uint32_t>(Blocks.size() - 1));
+  return Live.back();
 }
 
 void Interp::deallocateFrame(const Frame &F) {
-  for (size_t B = F.FirstBlock; B < Blocks.size(); ++B)
-    Blocks[B].Alive = false;
+  for (; !Live.empty() && Live.back() >= F.FirstBlock; Live.pop_back())
+    Blocks[Live.back()].Alive = false;
 }
 
 bool Interp::checkAccess(const LValue &LV, uint64_t Size, const char *What) {
@@ -1111,8 +1138,7 @@ Value Interp::callFunction(const FunctionDecl *F,
     --CallDepth;
     return {};
   }
-  Frames.emplace_back();
-  Frames.back().FirstBlock = Blocks.size();
+  Frames.emplace_back(Blocks.size(), Steps);
   for (size_t I = 0; I < F->params().size(); ++I) {
     const VarDecl *P = F->params()[I];
     uint32_t Block = allocate(P->name(), P->type()->sizeInBytes(), false);
@@ -1465,22 +1491,69 @@ Signal Interp::execSeek(const Stmt *S, const std::string &Label,
 /// the second trip -- one complete iteration done, so UB on the first
 /// iteration has already been reported as UB -- a loop that provably never
 /// exits (analysis/LoopInvariance.h) fails with Timeout instead of running
-/// out the step budget. \returns false once failed.
+/// out the step budget. Every trip is also a check point of the
+/// repeated-state detector (stateRepeats). \returns false once failed.
 bool Interp::beginTrip(const Stmt *Loop, unsigned &Trips) {
   // Trips saturates at 2, so the check runs once per entry of the loop.
-  if (Trips == 2 || ++Trips == 1)
+  if (Trips < 2 && ++Trips == 2) {
+    auto [It, Inserted] = NeverExits.try_emplace(Loop, false);
+    if (Inserted)
+      It->second = loopNeverExits(Loop);
+    if (It->second) {
+      fail(ExecStatus::Timeout, "loop never exits");
+      return false;
+    }
+  }
+  static const std::string NoLabel;
+  return !stateRepeats(Loop, NoLabel);
+}
+
+/// Check point of the current invocation's repeated-state detector: a loop
+/// about to run a trip (\p Loop) or a goto about to resume at \p Label.
+/// Once the invocation has run StateRepeatArmSteps steps, a state equal in
+/// full to one it reached before fails with Timeout "state repeats": the
+/// run would repeat the stretch in between until its step budget ran out,
+/// printing nothing more, so the verdict, exit code and output are exactly
+/// the budget's. \returns true once failed.
+bool Interp::stateRepeats(const Stmt *Loop, const std::string &Label) {
+  auto Same = [&](const InterpSnapshot &S) {
+    if (S.Loop != Loop || S.Label != Label ||
+        S.OutputSize != Result.Output.size() || S.StdinPos != Stdin.pos() ||
+        S.BlockCount != Blocks.size() || S.Live != Live)
+      return false;
+    // Newest first: the invocation's own locals are the likeliest to move.
+    for (size_t I = Live.size(); I-- > 0;) {
+      const MemBlock &B = Blocks[Live[I]];
+      if (B.Bytes != S.Contents[I].Bytes || B.Init != S.Contents[I].Init)
+        return false;
+    }
     return true;
-  auto [It, Inserted] = NeverExits.try_emplace(Loop, false);
-  if (Inserted)
-    It->second = loopNeverExits(Loop);
-  if (It->second)
-    fail(ExecStatus::Timeout, "loop never exits");
-  return !It->second;
+  };
+  auto Save = [&](InterpSnapshot &S) {
+    S.Loop = Loop;
+    S.Label = Label;
+    S.OutputSize = Result.Output.size();
+    S.StdinPos = Stdin.pos();
+    S.BlockCount = Blocks.size();
+    S.Live = Live;
+    // Assign in place: a re-save reuses the buffers of the last one.
+    S.Contents.resize(Live.size());
+    for (size_t I = 0; I < Live.size(); ++I) {
+      S.Contents[I].Bytes = Blocks[Live[I]].Bytes;
+      S.Contents[I].Init = Blocks[Live[I]].Init;
+    }
+  };
+  if (!Frames.back().Repeat.visit(Steps, Blocks.size(), Same, Save))
+    return false;
+  fail(ExecStatus::Timeout, "state repeats");
+  return true;
 }
 
 Signal Interp::runBody(const CompoundStmt *Body) {
   Signal Sig = execStmt(Body);
   while (!Failed && Sig.K == Signal::Goto) {
+    if (stateRepeats(nullptr, Sig.Label))
+      break;
     bool Found = false;
     Sig = execSeek(Body, Sig.Label, Found);
     if (!Found && !Failed) {

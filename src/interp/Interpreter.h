@@ -43,12 +43,15 @@ enum class ExecStatus {
   Ok,
   /// Undefined behavior detected; Message names it.
   UndefinedBehavior,
-  /// Non-termination: the step budget was exhausted, or a loop that
+  /// Non-termination: the step budget was exhausted; or a loop that
   /// provably never exits (analysis/LoopInvariance.h) completed one
-  /// iteration and was about to start another ("loop never exits"). Not
+  /// iteration and was about to start another ("loop never exits"); or a
+  /// function invocation reached the same full state twice at a loop trip
+  /// or a resumed goto ("state repeats", support/StateRepeat.h), so it
+  /// would have run out the budget with the same exit code and output. Not
   /// UB, but the variant is excluded from differential comparison. UB first
-  /// reached on a later iteration of such a loop is reported as Timeout
-  /// rather than UB; both verdicts are excluded, so Ok stays exact.
+  /// reached on a later iteration of a never-exiting loop is reported as
+  /// Timeout rather than UB; both verdicts are excluded, so Ok stays exact.
   Timeout,
   /// The program uses a feature outside the executable subset, or has no
   /// main function.
@@ -76,8 +79,9 @@ struct ExecResult {
 /// Interpreter configuration.
 struct InterpOptions {
   /// Maximum number of statement/expression evaluation steps. Exhausting
-  /// it is a Timeout, as is a proven never-exiting loop, which is reported
-  /// after one iteration whatever the budget.
+  /// it is a Timeout, as is a proven never-exiting loop, reported after one
+  /// iteration whatever the budget, and a repeated state, detected once
+  /// the invocation has run StateRepeatArmSteps (2^14) steps.
   uint64_t MaxSteps = 2'000'000;
   /// Maximum call depth (guards runaway recursion).
   unsigned MaxCallDepth = 256;

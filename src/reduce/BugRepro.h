@@ -69,10 +69,11 @@ struct ReproStats {
   uint64_t OracleRuns = 0;      ///< Reference interpretations performed.
   uint64_t OracleCacheHits = 0; ///< Verdicts replayed from the shared cache.
   /// Probes whose candidate parsed cleanly but the oracle found diverging
-  /// (Timeout: step budget exhausted or a proven never-exiting loop;
-  /// cache-replayed Timeout verdicts count too). This is the bill the
-  /// reducer's static bounded-loop guard
-  /// (ReducerOptions::BoundedLoopGuard) exists to avoid.
+  /// (Timeout: step budget exhausted, a proven never-exiting loop, or a
+  /// repeated state; cache-replayed Timeout verdicts count too). The first
+  /// costs a whole step budget, the other two end early; the reducer's
+  /// static bounded-loop guard (ReducerOptions::BoundedLoopGuard) keeps
+  /// never-exiting loops from reaching the oracle at all.
   uint64_t TimeoutRuns = 0;
 
   void merge(const ReproStats &Other) {

@@ -63,6 +63,10 @@ public:
     return static_cast<int32_t>(V);
   }
 
+  /// Bytes consumed so far: with the image, all that decides what later
+  /// next() calls return.
+  size_t pos() const { return Pos; }
+
 private:
   std::string Data;
   size_t Pos = 0;
