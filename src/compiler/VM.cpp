@@ -444,14 +444,13 @@ VMValue VM::callFunction(unsigned FnIndex,
     return {};
   }
   const IRFunction &F = M.Functions[FnIndex];
-  size_t FirstBlock = Blocks.size();
+  // The invocation's slots are blocks FirstBlock, FirstBlock + 1, ...
+  uint32_t FirstBlock = static_cast<uint32_t>(Blocks.size());
   std::vector<VMValue> Regs(F.NumRegs);
-  std::vector<uint32_t> SlotBlocks(F.Slots.size());
-  for (size_t S = 0; S < F.Slots.size(); ++S)
-    SlotBlocks[S] = allocate(F.Slots[S].Ty->isPointer() ? 8
-                                                        : F.Slots[S].Size);
+  for (const IRSlot &Slot : F.Slots)
+    allocate(Slot.Ty->isPointer() ? 8 : Slot.Size);
   for (size_t A = 0; A < Args.size() && A < F.NumParams; ++A)
-    storeTo(SlotBlocks[A], 0, F.Slots[A].Ty, Args[A]);
+    storeTo(FirstBlock + A, 0, F.Slots[A].Ty, Args[A]);
 
   unsigned BlockIndex = 0;
   size_t InstrIndex = 0;
@@ -497,7 +496,7 @@ VMValue VM::callFunction(unsigned FnIndex,
     case IROp::AddrSlot: {
       VMValue V;
       V.IsPtr = true;
-      V.Block = SlotBlocks[I.SlotIndex];
+      V.Block = FirstBlock + I.SlotIndex;
       Regs[I.Dst] = V;
       break;
     }

@@ -9,16 +9,18 @@
 //   * caught: the persona goto shape, a loop calling a function with no
 //     parameters or locals, a loop polling exhausted stdin;
 //   * not caught, so the budget still decides: a wrapping unsigned
-//     counter, a loop that prints on every trip, a loop that allocates on
-//     every trip (a body declaration in the interpreter, a callee's slots
-//     in the VM);
+//     counter (in a local, in a global a callee bumps, and in a VM
+//     register), a loop that prints on every trip, a loop that allocates on every trip (a body declaration
+//     in the interpreter, a callee's slots in the VM);
 //   * verdicts that must not move: a long terminating loop, UB on the
-//     first iteration and long after arming, stdin that ends the loop.
+//     first iteration and long after arming, stdin that ends the loop
+//     after a long poll.
 //
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Backend.h"
 #include "compiler/Compiler.h"
+#include "compiler/IR.h"
 #include "interp/Interpreter.h"
 
 #include "gtest/gtest.h"
@@ -99,11 +101,29 @@ const char *const PollsStdin = "int main(void) {\n"
                                "  return 7;\n"
                                "}\n";
 
+/// 40000 ones, then 5: PollsStdin polls long past the arm threshold with
+/// nothing but the stdin cursor changing from trip to trip.
+std::string longInputEndingIn5() {
+  std::string Input;
+  for (int I = 0; I < 40'000; ++I)
+    Input += "1 ";
+  return Input + "5";
+}
+
 const char *const UnsignedCounter = "int main(void) {\n"
                                     "  unsigned u = 1;\n"
                                     "  while (u != 0) u = u + 2;\n"
                                     "  return 0;\n"
                                     "}\n";
+
+// Only memory changes from trip to trip: main's registers are the same.
+const char *const CallsCounter = "unsigned g;\n"
+                                 "void bump(void) { g = g + 1; }\n"
+                                 "int main(void) {\n"
+                                 "  int x = 0;\n"
+                                 "  while (x < 4) bump();\n"
+                                 "  return x;\n"
+                                 "}\n";
 
 const char *const PrintsEveryTrip = "int main(void) {\n"
                                     "  int x = 0;\n"
@@ -164,6 +184,10 @@ TEST(InterpStateRepeatTest, WrappingUnsignedCounterRunsOutTheBudget) {
   expectInterp(UnsignedCounter, ExecStatus::Timeout, "step budget exhausted");
 }
 
+TEST(InterpStateRepeatTest, LoopCallingACounterRunsOutTheBudget) {
+  expectInterp(CallsCounter, ExecStatus::Timeout, "step budget exhausted");
+}
+
 TEST(InterpStateRepeatTest, PrintingEveryTripRunsOutTheBudget) {
   ExecResult R = interp(PrintsEveryTrip);
   EXPECT_EQ(R.Status, ExecStatus::Timeout);
@@ -211,7 +235,7 @@ TEST(InterpStateRepeatTest, UndefinedBehaviorLongAfterArmingStaysUB) {
 }
 
 TEST(InterpStateRepeatTest, StdinThatEndsTheLoopStaysOk) {
-  ExecResult R = interp(PollsStdin, "1 2 5");
+  ExecResult R = interp(PollsStdin, longInputEndingIn5());
   EXPECT_EQ(R.Status, ExecStatus::Ok) << R.Message;
   EXPECT_EQ(R.ExitCode, 7);
 }
@@ -248,8 +272,58 @@ TEST(VMStateRepeatTest, WrappingUnsignedCounterRunsOutTheBudget) {
   expectVM(UnsignedCounter, VMStatus::Timeout, "step budget exhausted");
 }
 
+TEST(VMStateRepeatTest, LoopCallingACounterRunsOutTheBudget) {
+  expectVM(CallsCounter, VMStatus::Timeout, "step budget exhausted");
+}
+
 TEST(VMStateRepeatTest, PrintingEveryTripRunsOutTheBudget) {
   expectVM(PrintsEveryTrip, VMStatus::Timeout, "step budget exhausted");
+}
+
+TEST(VMStateRepeatTest, RegisterOnlyCounterRunsOutTheBudget) {
+  // Hand-built IR whose loop keeps its counter in a register and never
+  // touches memory: only the registers tell its states apart.
+  //   b0: r0 = 0; br b1
+  //   b1: r0 = r0 + 1; r1 = r0 != 0; condbr r1, b1, b2
+  //   b2: ret r0
+  ASTContext Ctx;
+  const Type *U32 = Ctx.types().intType(32, false);
+  IRInstr Zero{IROp::Const};
+  Zero.Dst = 0;
+  Zero.HasDst = true;
+  Zero.Ty = U32;
+  Zero.A = IROperand::constant(0, U32);
+  IRInstr ToLoop{IROp::Br};
+  ToLoop.Succ0 = 1;
+  IRInstr Inc{IROp::Bin};
+  Inc.Dst = 0;
+  Inc.HasDst = true;
+  Inc.Ty = U32;
+  Inc.Bin = BinaryOp::Add;
+  Inc.A = IROperand::reg(0, U32);
+  Inc.B = IROperand::constant(1, U32);
+  IRInstr NonZero = Inc;
+  NonZero.Dst = 1;
+  NonZero.Bin = BinaryOp::NE;
+  NonZero.B = IROperand::constant(0, U32);
+  IRInstr Back{IROp::CondBr};
+  Back.A = IROperand::reg(1, U32);
+  Back.Succ0 = 1;
+  Back.Succ1 = 2;
+  IRInstr Ret{IROp::Ret};
+  Ret.A = IROperand::reg(0, U32);
+  IRFunction Main;
+  Main.Name = "main";
+  Main.RetTy = Ctx.types().int32Type();
+  Main.NumRegs = 2;
+  Main.Blocks = {IRBlock{{Zero, ToLoop}}, IRBlock{{Inc, NonZero, Back}},
+                 IRBlock{{Ret}}};
+  IRModule M;
+  M.Functions.push_back(Main);
+  M.MainIndex = 0;
+  VMResult R = executeModule(M);
+  EXPECT_EQ(R.Status, VMStatus::Timeout);
+  EXPECT_EQ(R.Message, "step budget exhausted");
 }
 
 TEST(VMStateRepeatTest, CalleeWithSlotsRunsOutTheBudget) {
@@ -267,7 +341,7 @@ TEST(VMStateRepeatTest, LongTerminatingLoopStaysOk) {
 
 TEST(VMStateRepeatTest, StdinThatEndsTheLoopStaysOk) {
   for (unsigned OptLevel : {0u, 3u}) {
-    VMResult R = vm(PollsStdin, OptLevel, "1 2 5");
+    VMResult R = vm(PollsStdin, OptLevel, longInputEndingIn5());
     EXPECT_EQ(R.Status, VMStatus::Ok) << "-O" << OptLevel << R.Message;
     EXPECT_EQ(R.ExitCode, 7);
   }
