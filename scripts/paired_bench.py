@@ -26,7 +26,8 @@ reports an incorrect campaign.
     python3 scripts/paired_bench.py check bench/results/BENCH_*.json
 
 loads committed bench points and exits non-zero if one of them lacks a
-parent or change median for a metric it lists.
+parent or change median for a metric it lists, or has a workload section
+whose runs were not all correct.
 """
 
 import argparse
@@ -109,8 +110,7 @@ def run(args):
         "what": args.what,
         "parent_commit": commit_of(sides["parent"], args.parent_commit),
         "change_commit": commit_of(sides["change"], args.change_commit),
-        "hardware": args.hardware or
-        f"{os.cpu_count()}-vCPU {platform.machine()} Linux host; "
+        "hardware": f"{os.cpu_count()}-vCPU {platform.machine()} Linux host; "
         "campaign_bench/run.py confines each run to 2 CPUs; runs made one "
         "at a time",
         "command": "python3 campaign_bench/run.py --workload W --seed S "
@@ -173,7 +173,8 @@ def run(args):
 
 
 def check(paths):
-    """Every metric of every workload section has both medians."""
+    """Every workload section has all runs correct and both medians of
+    every metric."""
     failed = False
     for path in paths:
         with open(path) as f:
@@ -182,6 +183,8 @@ def check(paths):
                     if isinstance(v, dict) and "metrics" in v]
         problems = [] if sections else ["no workload section with metrics"]
         for key, section in sections:
+            if section.get("all_runs_correct") is not True:
+                problems.append(f"{key} does not record all runs correct")
             for metric, cmp in section["metrics"].items():
                 for side in ("parent", "change"):
                     median = cmp.get(side, {}).get("median")
@@ -212,7 +215,6 @@ def main():
                    help="holds one CARGO_TARGET_DIR per side")
     r.add_argument("--parent-commit")
     r.add_argument("--change-commit")
-    r.add_argument("--hardware")
     r.add_argument("--trace-seed", type=int)
     r.add_argument("--trace-key", action="append", default=list(TRACE_KEYS),
                    help="a traced layer to record, besides the defaults")
