@@ -7,7 +7,9 @@
 #include "sema/Sema.h"
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <tuple>
 
 using namespace spe;
 
@@ -105,10 +107,7 @@ std::unique_ptr<ASTContext> spe::parseAndAnalyze(const std::string &Source) {
 BackendObservation InProcessBackend::run(const std::string &Source,
                                          const CompilerConfig &Config,
                                          CoverageRegistry *Cov) const {
-  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Source);
-  if (!Ctx)
-    return {}; // Rejected.
-  return runOn(*Ctx, Config, Cov);
+  return runWithInput(Source, Config, std::string(), Cov);
 }
 
 BackendObservation
@@ -116,10 +115,7 @@ InProcessBackend::runWithInput(const std::string &Source,
                                const CompilerConfig &Config,
                                const std::string &Input,
                                CoverageRegistry *Cov) const {
-  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Source);
-  if (!Ctx)
-    return {}; // Rejected.
-  return runOn(*Ctx, Config, Cov, Input);
+  return runSweep(Source, Config, {Input}, Cov).front();
 }
 
 std::vector<BackendObservation>
@@ -127,62 +123,105 @@ InProcessBackend::runSweep(const std::string &Source,
                            const CompilerConfig &Config,
                            const std::vector<std::string> &Inputs,
                            CoverageRegistry *Cov) const {
-  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Source);
-  if (!Ctx)
-    return std::vector<BackendObservation>(Inputs.size()); // All rejected.
-  return runOnSweep(*Ctx, Config, Cov, Inputs);
+  return observe(parseAndAnalyze(Source).get(), {Config}, {Inputs}, Cov)
+      .front();
 }
 
 BackendObservation InProcessBackend::runOn(ASTContext &Ctx,
                                            const CompilerConfig &Config,
                                            CoverageRegistry *Cov,
                                            const std::string &Input) const {
-  return runOnSweep(Ctx, Config, Cov, {Input}).front();
+  return observe(&Ctx, {Config}, {{Input}}, Cov).front().front();
 }
 
-std::vector<BackendObservation>
-InProcessBackend::runOnSweep(ASTContext &Ctx, const CompilerConfig &Config,
-                             CoverageRegistry *Cov,
-                             const std::vector<std::string> &Inputs) const {
-  BackendObservation Obs;
-  MiniCompiler CC(Config, Cov, InjectBugs);
-  CompileResult R = CC.compile(Ctx);
-  if (R.St == CompileResult::Status::Rejected)
-    return std::vector<BackendObservation>(Inputs.size(), Obs);
-  Obs.FiredBugs = std::move(R.FiredBugs);
-  if (R.crashed()) {
-    Obs.Compile = BackendObservation::CompileStatus::Crashed;
-    Obs.CrashSignature = std::move(R.CrashSignature);
-    Obs.CrashBugId = R.CrashBugId;
-    return std::vector<BackendObservation>(Inputs.size(), Obs);
-  }
-  Obs.Compile = BackendObservation::CompileStatus::Ok;
-  // The MiniCC cost model: a fired Performance bug inflates compile cost
-  // past the paper's pathological threshold.
-  Obs.CompileTimeAnomaly = R.CompileCost > 1'000'000;
+std::vector<std::vector<std::vector<BackendObservation>>>
+InProcessBackend::finishBatch(std::unique_ptr<BatchTicket> Ticket) const {
+  auto *T = dynamic_cast<GenericBatchTicket *>(Ticket.get());
+  if (!T)
+    return {}; // Ticket from a different backend's beginBatch: caller bug.
+  std::vector<std::vector<std::string>> Inputs;
+  Inputs.reserve(T->Configs.size());
+  for (const CompilerConfig &Config : T->Configs)
+    Inputs.push_back(configInputs(Config));
+  std::vector<std::vector<std::vector<BackendObservation>>> Out;
+  Out.reserve(T->Sources.size());
+  for (const std::string &Source : T->Sources)
+    Out.push_back(observe(parseAndAnalyze(Source).get(), T->Configs, Inputs,
+                          T->Cov));
+  return Out;
+}
 
-  // One compile, one VM execution per sweep input: the compile-level
-  // fields are shared across the row, the exec fields are per input.
-  std::vector<BackendObservation> Row(Inputs.size(), Obs);
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    VMOptions VO;
-    VO.Input = Inputs[I];
-    VMResult V = executeModule(R.Module, VO);
-    switch (V.Status) {
-    case VMStatus::Ok:
-      Row[I].Exec = BackendObservation::ExecStatus::Ok;
-      break;
-    case VMStatus::Trap:
-      Row[I].Exec = BackendObservation::ExecStatus::Trap;
-      break;
-    case VMStatus::Timeout:
-      Row[I].Exec = BackendObservation::ExecStatus::Timeout;
-      break;
-    }
-    Row[I].ExitCode = V.ExitCode;
-    Row[I].Output = std::move(V.Output);
+std::vector<std::vector<BackendObservation>>
+InProcessBackend::observe(ASTContext *Ctx,
+                          const std::vector<CompilerConfig> &Configs,
+                          const std::vector<std::vector<std::string>> &Inputs,
+                          CoverageRegistry *Cov) const {
+  std::vector<std::vector<BackendObservation>> Rows;
+  Rows.reserve(Configs.size());
+  if (!Ctx || Configs.empty()) {
+    for (const std::vector<std::string> &Ins : Inputs)
+      Rows.emplace_back(Ins.size()); // All rejected.
+    return Rows;
   }
-  return Row;
+  LoweredUnit Unit(*Ctx, Cov);
+  // The VM is deterministic and a module is a pure function of (opt
+  // level, mutilation), so one run per key serves every config sharing it.
+  std::map<std::tuple<unsigned, Mutilation, std::string>, VMResult> Runs;
+  for (size_t C = 0; C < Configs.size(); ++C) {
+    const CompilerConfig &Config = Configs[C];
+    const std::vector<std::string> &Ins = Inputs[C];
+    BackendObservation Obs;
+    CompileResult R = Unit.compile(Config, InjectBugs);
+    if (R.St == CompileResult::Status::Rejected) {
+      Rows.emplace_back(Ins.size(), Obs);
+      continue;
+    }
+    Obs.FiredBugs = std::move(R.FiredBugs);
+    if (R.crashed()) {
+      Obs.Compile = BackendObservation::CompileStatus::Crashed;
+      Obs.CrashSignature = std::move(R.CrashSignature);
+      Obs.CrashBugId = R.CrashBugId;
+      Rows.emplace_back(Ins.size(), Obs);
+      continue;
+    }
+    Obs.Compile = BackendObservation::CompileStatus::Ok;
+    // The MiniCC cost model: a fired Performance bug inflates compile cost
+    // past the paper's pathological threshold.
+    Obs.CompileTimeAnomaly = R.CompileCost > 1'000'000;
+
+    // The compile-level fields are shared across the row, the exec fields
+    // are per input.
+    std::vector<BackendObservation> Row(Ins.size(), Obs);
+    for (size_t I = 0; I < Ins.size(); ++I) {
+      auto Key = std::make_tuple(Config.OptLevel, R.Mut, Ins[I]);
+      auto It = Runs.find(Key);
+      if (It == Runs.end()) {
+        VMOptions VO;
+        VO.Input = Ins[I];
+        It = Runs
+                 .emplace(std::move(Key),
+                          executeModule(Unit.module(Config.OptLevel, R.Mut),
+                                        VO))
+                 .first;
+      }
+      const VMResult &V = It->second;
+      switch (V.Status) {
+      case VMStatus::Ok:
+        Row[I].Exec = BackendObservation::ExecStatus::Ok;
+        break;
+      case VMStatus::Trap:
+        Row[I].Exec = BackendObservation::ExecStatus::Trap;
+        break;
+      case VMStatus::Timeout:
+        Row[I].Exec = BackendObservation::ExecStatus::Timeout;
+        break;
+      }
+      Row[I].ExitCode = V.ExitCode;
+      Row[I].Output = V.Output;
+    }
+    Rows.push_back(std::move(Row));
+  }
+  return Rows;
 }
 
 std::string spe::classifyDivergence(const BackendObservation &Obs,

@@ -211,9 +211,9 @@ public:
   finishBatch(std::unique_ptr<BatchTicket> Ticket) const;
 };
 
-/// The historical in-process driver: parse + Sema + MiniCompiler + VM.
-/// Behavior-preserving refactor of the loop body the harness ran inline
-/// before backends existed.
+/// The in-process driver: parse + Sema + MiniCC + VM. Every entry point is
+/// one call of observe(), which lowers a variant once for all the configs
+/// it is given (DESIGN.md Section 12.5).
 class InProcessBackend final : public CompilerBackend {
 public:
   explicit InProcessBackend(bool InjectBugs = true)
@@ -228,27 +228,33 @@ public:
                                   const CompilerConfig &Config,
                                   const std::string &Input,
                                   CoverageRegistry *Cov) const override;
-  /// One MiniCompiler invocation, one VM execution per input.
   std::vector<BackendObservation>
   runSweep(const std::string &Source, const CompilerConfig &Config,
            const std::vector<std::string> &Inputs,
            CoverageRegistry *Cov) const override;
 
-  /// In-process fast path: compile + execute an already-analyzed unit,
-  /// skipping the re-parse run() would perform. Used where the caller
-  /// still holds the AST it built for the oracle verdict. \p Input feeds
-  /// the VM's spe_input() cursor.
+  /// One parse per variant, shared by every config of the batch.
+  std::vector<std::vector<std::vector<BackendObservation>>>
+  finishBatch(std::unique_ptr<BatchTicket> Ticket) const override;
+
+  /// run() with \p Input on an already-analyzed unit, skipping the
+  /// re-parse. Used where the caller still holds the AST it built for the
+  /// oracle verdict.
   BackendObservation runOn(ASTContext &Ctx, const CompilerConfig &Config,
                            CoverageRegistry *Cov,
                            const std::string &Input = {}) const;
 
-  /// runOn for a whole sweep: compile once, execute the VM per input.
-  std::vector<BackendObservation>
-  runOnSweep(ASTContext &Ctx, const CompilerConfig &Config,
-             CoverageRegistry *Cov,
-             const std::vector<std::string> &Inputs) const;
-
 private:
+  /// The observation rows of one variant: row C is \p Configs[C] under
+  /// each of \p Inputs[C]. A null \p Ctx (the frontend rejected the
+  /// variant) gives all-Rejected rows. IRGen runs once, the pipeline once
+  /// per opt level that some config reaches, and the VM once per distinct
+  /// (opt level, mutilation, input); all of it is freed on return.
+  std::vector<std::vector<BackendObservation>>
+  observe(ASTContext *Ctx, const std::vector<CompilerConfig> &Configs,
+          const std::vector<std::vector<std::string>> &Inputs,
+          CoverageRegistry *Cov) const;
+
   bool InjectBugs;
 };
 

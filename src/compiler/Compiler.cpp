@@ -84,20 +84,12 @@ void spe::applyMutilation(IRModule &M, Mutilation Mut) {
   }
 }
 
-CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
-  CompileResult Result;
-  ProgramFeatures Features = extractFeatures(Ctx);
-
-  IRGenResult Gen = generateIR(Ctx);
-  if (!Gen.Ok) {
-    Result.St = CompileResult::Status::Rejected;
-    Result.Error = Gen.Error;
-    return Result;
-  }
-  Result.Module = std::move(Gen.Module);
-  Result.CompileCost = 1;
-  for (const IRFunction &F : Result.Module.Functions)
-    Result.CompileCost += F.Blocks.size();
+LoweredUnit::LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov)
+    : Cov(Cov), Features(extractFeatures(Ctx)), Gen(generateIR(Ctx)) {
+  if (!Gen.Ok)
+    return;
+  for (const IRFunction &F : Gen.Module.Functions)
+    BaseCost += F.Blocks.size();
 
   // Frontend coverage points keyed on syntactic features and on the
   // operators the lowering actually emitted.
@@ -114,16 +106,26 @@ CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
     if (Features.NumStructAccesses > 0)
       Cov->hit("irgen.struct");
     Cov->hit("irgen.branch");
-    for (const IRFunction &F : Result.Module.Functions)
+    for (const IRFunction &F : Gen.Module.Functions)
       for (const IRBlock &B : F.Blocks)
         for (const IRInstr &I : B.Instrs)
           if (I.Op == IROp::Bin)
             Cov->hit(std::string("irgen.bin.") + binaryOpSpelling(I.Bin));
   }
+}
+
+CompileResult LoweredUnit::compile(const CompilerConfig &Config,
+                                   bool InjectBugs) {
+  CompileResult Result;
+  if (!Gen.Ok) {
+    Result.St = CompileResult::Status::Rejected;
+    Result.Error = Gen.Error;
+    return Result;
+  }
+  Result.CompileCost = BaseCost;
 
   // Injected bug hooks: crashes preempt everything; wrong-code mutilates
   // the module after optimization; performance inflates the cost.
-  Mutilation PendingMut = Mutilation::None;
   if (InjectBugs) {
     for (const InjectedBug &B : bugDatabase()) {
       if (!B.firesOn(Config, Features))
@@ -134,8 +136,8 @@ CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
         Result.CrashSignature = B.CrashSignature;
         Result.CrashBugId = B.Id;
       } else if (B.Effect == BugEffect::WrongCode &&
-                 PendingMut == Mutilation::None) {
-        PendingMut = B.Mut;
+                 Result.Mut == Mutilation::None) {
+        Result.Mut = B.Mut;
       } else if (B.Effect == BugEffect::Performance) {
         Result.CompileCost += 1'000'000;
       }
@@ -144,17 +146,40 @@ CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
   if (Result.CrashBugId != 0)
     return Result;
 
-  runPipeline(Result.Module, Config.OptLevel, Cov);
-  applyMutilation(Result.Module, PendingMut);
-
-  std::string VerifyError = verifyModule(Result.Module);
-  if (!VerifyError.empty()) {
+  const Built &B = build(Config.OptLevel, Result.Mut);
+  if (!B.VerifyError.empty()) {
     // A pipeline bug in MiniCC itself; surface it as a crash so the harness
     // notices instead of executing bogus IR.
     Result.St = CompileResult::Status::Crashed;
-    Result.CrashSignature = "internal compiler error: " + VerifyError;
+    Result.CrashSignature = "internal compiler error: " + B.VerifyError;
     return Result;
   }
   Result.St = CompileResult::Status::Ok;
+  return Result;
+}
+
+const LoweredUnit::Built &LoweredUnit::build(unsigned OptLevel,
+                                             Mutilation Mut) {
+  auto It = Modules.find({OptLevel, Mut});
+  if (It != Modules.end())
+    return It->second;
+  Built B;
+  if (Mut == Mutilation::None) {
+    B.Module = Gen.Module;
+    runPipeline(B.Module, OptLevel, Cov);
+  } else {
+    B.Module = build(OptLevel, Mutilation::None).Module;
+    applyMutilation(B.Module, Mut);
+  }
+  B.VerifyError = verifyModule(B.Module);
+  return Modules.emplace(std::make_pair(OptLevel, Mut), std::move(B))
+      .first->second;
+}
+
+CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
+  LoweredUnit Unit(Ctx, Cov);
+  CompileResult Result = Unit.compile(Config, InjectBugs);
+  if (Result.ok())
+    Result.Module = Unit.takeModule(Config.OptLevel, Result.Mut);
   return Result;
 }

@@ -11,6 +11,11 @@
 /// is the "compiler under test" of the differential harness; the paper's
 /// GCC/Clang stand-ins are CompilerConfig personas over this driver.
 ///
+/// A compilation has a config-free stage (features, IRGen) and a per-config
+/// stage (bug hooks, pipeline, mutilation, verifier). LoweredUnit runs the
+/// first once and the second for any number of configs; MiniCompiler is
+/// its one-config case.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPE_COMPILER_COMPILER_H
@@ -20,6 +25,9 @@
 #include "compiler/Coverage.h"
 #include "compiler/IRGen.h"
 #include "compiler/VM.h"
+
+#include <map>
+#include <utility>
 
 namespace spe {
 
@@ -37,6 +45,8 @@ struct CompileResult {
   int CrashBugId = 0;
   /// All injected bugs that fired (crash, wrong-code, performance).
   std::vector<int> FiredBugs;
+  /// The mutilation of the first wrong-code bug that fired, or None.
+  Mutilation Mut = Mutilation::None;
   /// Simulated compile cost; Performance bugs inflate it.
   uint64_t CompileCost = 0;
   std::string Error;
@@ -45,7 +55,53 @@ struct CompileResult {
   bool crashed() const { return St == Status::Crashed; }
 };
 
-/// Compiles one analyzed translation unit under a configuration.
+/// One analyzed translation unit, lowered once and compiled under any
+/// number of configurations (DESIGN.md Section 12.5). The constructor runs
+/// the config-free stage: feature extraction, IRGen and IRGen's coverage
+/// points. compile() runs the per-config stage: the injected-bug hooks,
+/// then -- unless a bug crashes the config -- the pipeline once per opt
+/// level and the mutilation plus verifier once per (opt level,
+/// mutilation). The pipeline reads only the opt level, so every config
+/// gets exactly the module a fresh compilation would build.
+///
+/// Not thread-safe: IRGen interns types into the unit's ASTContext.
+class LoweredUnit {
+public:
+  LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov);
+
+  /// \returns \p Config's result without its Module: an Ok result's module
+  /// is module(Config.OptLevel, Result.Mut).
+  CompileResult compile(const CompilerConfig &Config, bool InjectBugs);
+
+  /// The module compile() built for (\p OptLevel, \p Mut); valid while
+  /// this unit lives.
+  const IRModule &module(unsigned OptLevel, Mutilation Mut) const {
+    return Modules.at({OptLevel, Mut}).Module;
+  }
+  /// Moves that module out of the unit; later compiles must not need it.
+  IRModule takeModule(unsigned OptLevel, Mutilation Mut) {
+    return std::move(Modules.at({OptLevel, Mut}).Module);
+  }
+
+private:
+  struct Built {
+    IRModule Module;
+    std::string VerifyError;
+  };
+  /// The optimized, mutilated and verified module of (OptLevel, Mut),
+  /// built on first use from the one of (OptLevel, None).
+  const Built &build(unsigned OptLevel, Mutilation Mut);
+
+  CoverageRegistry *Cov;
+  ProgramFeatures Features;
+  IRGenResult Gen;
+  /// The cost of a compilation no Performance bug inflates.
+  uint64_t BaseCost = 1;
+  std::map<std::pair<unsigned, Mutilation>, Built> Modules;
+};
+
+/// Compiles one analyzed translation unit under a configuration: a
+/// LoweredUnit compiled once, its module moved into the result.
 class MiniCompiler {
 public:
   /// \param Config   persona/version/opt-level/machine mode.

@@ -37,6 +37,7 @@ bool ReproOracle::evaluate(const std::string &Source) {
     if (Ctx) {
       InterpOptions IO;
       IO.Input = Spec.Input;
+      IO.MaxSteps = Spec.OracleMaxSteps;
       ExecResult Ref = interpret(*Ctx, IO);
       ++Stats.OracleRuns;
       Verdict.Status = Ref.Status;

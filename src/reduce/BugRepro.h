@@ -60,6 +60,11 @@ struct ReproSpec {
   std::string Input;
   /// Ground-truth injection switch; mirrors HarnessOptions::InjectBugs.
   bool InjectBugs = true;
+  /// The reference interpreter's step budget; mirrors
+  /// HarnessOptions::OracleMaxSteps. Verdicts land in the campaign-shared
+  /// OracleCache under the same key as the campaign's own, so they must
+  /// come from the same budget.
+  uint64_t OracleMaxSteps = 2'000'000;
 };
 
 /// Probe counters of one oracle instance.

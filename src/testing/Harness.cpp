@@ -635,6 +635,7 @@ void finishCampaign(const HarnessOptions &Opts, CampaignResult &Result) {
     TriageOptions T;
     T.Cache = Opts.Cache;
     T.InjectBugs = Opts.InjectBugs;
+    T.OracleMaxSteps = Opts.OracleMaxSteps;
     T.Backend = Opts.Backend;
     T.ExtraBackends = Opts.ExtraBackends;
     T.Telemetry = Opts.Telemetry;

@@ -119,6 +119,7 @@ void spe::triageCampaign(CampaignResult &Result, const TriageOptions &Opts) {
     Spec.Effect = Rep.Effect;
     Spec.SignatureKey = Cluster.Sig.Key;
     Spec.InjectBugs = Opts.InjectBugs;
+    Spec.OracleMaxSteps = Opts.OracleMaxSteps;
     Spec.Input = Rep.Input;
 
     if (Opts.ReduceWitnesses) {
