@@ -163,7 +163,7 @@ InProcessBackend::observe(ASTContext *Ctx,
       Rows.emplace_back(Ins.size()); // All rejected.
     return Rows;
   }
-  LoweredUnit Unit(*Ctx, Cov);
+  LoweredUnit Unit(*Ctx, Cov, /*OneConfig=*/Configs.size() == 1);
   // The VM is deterministic and a module is a pure function of (opt
   // level, mutilation), so one run per key serves every config sharing it.
   std::map<std::tuple<unsigned, Mutilation, std::string>, VMResult> Runs;

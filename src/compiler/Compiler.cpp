@@ -84,8 +84,10 @@ void spe::applyMutilation(IRModule &M, Mutilation Mut) {
   }
 }
 
-LoweredUnit::LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov)
-    : Cov(Cov), Features(extractFeatures(Ctx)), Gen(generateIR(Ctx)) {
+LoweredUnit::LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov,
+                         bool OneConfig)
+    : Cov(Cov), OneConfig(OneConfig), Features(extractFeatures(Ctx)),
+      Gen(generateIR(Ctx)) {
   if (!Gen.Ok)
     return;
   for (const IRFunction &F : Gen.Module.Functions)
@@ -146,7 +148,11 @@ CompileResult LoweredUnit::compile(const CompilerConfig &Config,
   if (Result.CrashBugId != 0)
     return Result;
 
-  const Built &B = build(Config.OptLevel, Result.Mut);
+  Built &B = build(Config.OptLevel, Result.Mut);
+  if (!B.Verified) {
+    B.VerifyError = verifyModule(B.Module);
+    B.Verified = true;
+  }
   if (!B.VerifyError.empty()) {
     // A pipeline bug in MiniCC itself; surface it as a crash so the harness
     // notices instead of executing bogus IR.
@@ -158,26 +164,27 @@ CompileResult LoweredUnit::compile(const CompilerConfig &Config,
   return Result;
 }
 
-const LoweredUnit::Built &LoweredUnit::build(unsigned OptLevel,
-                                             Mutilation Mut) {
+LoweredUnit::Built &LoweredUnit::build(unsigned OptLevel, Mutilation Mut) {
   auto It = Modules.find({OptLevel, Mut});
   if (It != Modules.end())
     return It->second;
+  // A one-config unit builds a single chain, so each stage takes its input
+  // module over instead of copying it.
   Built B;
   if (Mut == Mutilation::None) {
-    B.Module = Gen.Module;
+    B.Module = OneConfig ? std::move(Gen.Module) : Gen.Module;
     runPipeline(B.Module, OptLevel, Cov);
   } else {
-    B.Module = build(OptLevel, Mutilation::None).Module;
+    IRModule &Clean = build(OptLevel, Mutilation::None).Module;
+    B.Module = OneConfig ? std::move(Clean) : Clean;
     applyMutilation(B.Module, Mut);
   }
-  B.VerifyError = verifyModule(B.Module);
   return Modules.emplace(std::make_pair(OptLevel, Mut), std::move(B))
       .first->second;
 }
 
 CompileResult MiniCompiler::compile(ASTContext &Ctx) const {
-  LoweredUnit Unit(Ctx, Cov);
+  LoweredUnit Unit(Ctx, Cov, /*OneConfig=*/true);
   CompileResult Result = Unit.compile(Config, InjectBugs);
   if (Result.ok())
     Result.Module = Unit.takeModule(Config.OptLevel, Result.Mut);

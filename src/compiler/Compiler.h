@@ -60,14 +60,16 @@ struct CompileResult {
 /// the config-free stage: feature extraction, IRGen and IRGen's coverage
 /// points. compile() runs the per-config stage: the injected-bug hooks,
 /// then -- unless a bug crashes the config -- the pipeline once per opt
-/// level and the mutilation plus verifier once per (opt level,
-/// mutilation). The pipeline reads only the opt level, so every config
-/// gets exactly the module a fresh compilation would build.
+/// level, the mutilation once per (opt level, mutilation) and the verifier
+/// once per module a config gets. The pipeline reads only the opt level,
+/// so every config gets exactly the module a fresh compilation would build.
 ///
 /// Not thread-safe: IRGen interns types into the unit's ASTContext.
 class LoweredUnit {
 public:
-  LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov);
+  /// \param OneConfig compile() is called for one config only, so IRGen's
+  ///        module moves through the stages instead of being copied.
+  LoweredUnit(ASTContext &Ctx, CoverageRegistry *Cov, bool OneConfig = false);
 
   /// \returns \p Config's result without its Module: an Ok result's module
   /// is module(Config.OptLevel, Result.Mut).
@@ -86,13 +88,16 @@ public:
 private:
   struct Built {
     IRModule Module;
+    /// Set by the first compile() whose config gets this module.
+    bool Verified = false;
     std::string VerifyError;
   };
-  /// The optimized, mutilated and verified module of (OptLevel, Mut),
-  /// built on first use from the one of (OptLevel, None).
-  const Built &build(unsigned OptLevel, Mutilation Mut);
+  /// The optimized and mutilated module of (OptLevel, Mut), built on first
+  /// use from the one of (OptLevel, None).
+  Built &build(unsigned OptLevel, Mutilation Mut);
 
   CoverageRegistry *Cov;
+  bool OneConfig;
   ProgramFeatures Features;
   IRGenResult Gen;
   /// The cost of a compilation no Performance bug inflates.

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Compiler.h"
+#include "interp/Interpreter.h"
 #include "lang/Parser.h"
 #include "reduce/BugRepro.h"
 #include "reduce/SkeletonReducer.h"
@@ -28,6 +29,7 @@
 
 #include "gtest/gtest.h"
 
+#include <cctype>
 #include <memory>
 #include <set>
 
@@ -57,6 +59,33 @@ CampaignResult twoPersonaCampaign(const std::vector<std::string> &Seeds,
   }
   return Total;
 }
+
+/// Crashes on every program that keeps a countdown of x from 60000, and
+/// compiles the rest cleanly. Without its `x = 1;` such a program runs
+/// past a 100K-step oracle budget but ends well within the default 2M.
+class CountdownCrashBackend final : public CompilerBackend {
+public:
+  std::string identity() const override { return "countdown-crash"; }
+  bool hasGroundTruth() const override { return false; }
+  BackendObservation run(const std::string &Source, const CompilerConfig &,
+                         CoverageRegistry *) const override {
+    std::string Flat;
+    for (char C : Source)
+      if (!std::isspace(static_cast<unsigned char>(C)))
+        Flat.push_back(C);
+    BackendObservation Obs;
+    if (Flat.find("60000") != std::string::npos &&
+        Flat.find("while(x>0)") != std::string::npos &&
+        Flat.find("x=x-1;") != std::string::npos) {
+      Obs.Compile = BackendObservation::CompileStatus::Crashed;
+      Obs.CrashSignature = "internal compiler error: in countdown";
+      return Obs;
+    }
+    Obs.Compile = BackendObservation::CompileStatus::Ok;
+    Obs.Exec = BackendObservation::ExecStatus::Ok;
+    return Obs;
+  }
+};
 
 bool triggersGroundTruth(const std::string &Source, const FoundBug &Bug) {
   auto Ctx = std::make_unique<ASTContext>();
@@ -220,4 +249,54 @@ TEST(TriagePipelineTest, EmbeddedSeedCampaignTriagesEverySignature) {
     ReproOracle Check(Spec, &Cache);
     EXPECT_TRUE(Check.reproduces(Rep.WitnessProgram)) << Cluster.Sig.str();
   }
+}
+
+TEST(TriagePipelineTest, ReductionKeepsTheCampaignOracleBudget) {
+  // Triage's re-probes share the campaign's OracleCache key, so they must
+  // interpret at the campaign's budget: the candidate that drops `x = 1;`
+  // times out at 100K steps and must stay excluded from the reduced
+  // witness, and the cache must hold its Timeout verdict.
+  const std::string Seed = "int main(void) {\n"
+                           "  int x = 60000;\n"
+                           "  x = 1;\n"
+                           "  while (x > 0)\n"
+                           "    x = x - 1;\n"
+                           "  return x;\n"
+                           "}\n";
+  CountdownCrashBackend Backend;
+  OracleCache Cache;
+  HarnessOptions Opts;
+  Opts.Backend = &Backend;
+  Opts.Configs = {CompilerConfig{}};
+  Opts.OracleMaxSteps = 100'000;
+  Opts.Cache = &Cache;
+  Opts.Threads = 1;
+  Opts.Triage = true;
+  CampaignResult R = DifferentialHarness(Opts).runCampaign({Seed});
+  ASSERT_EQ(R.Triaged.size(), 1u);
+  const std::string &Witness = R.Triaged.front().Representative.WitnessProgram;
+
+  InterpOptions Budget;
+  Budget.MaxSteps = Opts.OracleMaxSteps;
+  std::unique_ptr<ASTContext> Ctx = parseAndAnalyze(Witness);
+  ASSERT_TRUE(Ctx) << Witness;
+  EXPECT_EQ(interpret(*Ctx, Budget).Status, ExecStatus::Ok)
+      << "the reduced witness needs more than the campaign's budget:\n"
+      << Witness;
+
+  // The excluded candidate: the witness without its `x = 1;`, as the
+  // reducer renders it. Not vacuous: it outruns 100K steps but ends
+  // within the default budget, and the reducer did probe it.
+  std::string Long = Witness;
+  size_t At = Long.find("  x = 1;\n");
+  ASSERT_NE(At, std::string::npos) << Witness;
+  Long.erase(At, 9);
+  std::unique_ptr<ASTContext> LongCtx = parseAndAnalyze(Long);
+  ASSERT_TRUE(LongCtx) << Long;
+  EXPECT_EQ(interpret(*LongCtx, Budget).Status, ExecStatus::Timeout);
+  EXPECT_EQ(interpret(*LongCtx).Status, ExecStatus::Ok);
+  OracleCache::Entry Cached;
+  ASSERT_TRUE(Cache.lookup(oracleCacheKey(Long, std::string()), Cached))
+      << Long;
+  EXPECT_EQ(Cached.Status, ExecStatus::Timeout);
 }
